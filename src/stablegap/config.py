@@ -31,8 +31,6 @@ DRIFTS = ("ou", "custom")
 # regressions well conditioned at the default sample size.
 DEFAULT_ALPHA_GRID = (1.975, 1.98361, 1.98925, 1.99296, 1.99538, 1.99697, 1.998)
 
-DEFAULT_D_GRID = (1, 2, 3, 5, 8, 12, 20)
-
 DEFAULT_SWEEP_SAMPLES = 20_000_000
 
 
@@ -185,8 +183,4 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
         data = parse_config_text(fh.read())
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig(**data)
-
-
-def config_from_mapping(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)

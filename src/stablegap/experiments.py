@@ -116,14 +116,18 @@ def fit_rate(alphas, w1_values, x_transform: str) -> RateFit:
         x = np.log(u)
     else:
         x = np.log(u * np.log(1.0 / u))
-    y = np.log(w)
+    return _ols_fit(x, np.log(w), x_transform)
+
+
+def _ols_fit(x, y, x_transform: str) -> RateFit:
+    """Unweighted least-squares line through (x, y), with R^2 clipped to [0,1]."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
     return RateFit(slope=float(slope), intercept=float(intercept),
                    r_squared=max(0.0, min(1.0, r2)), x_transform=x_transform,
-                   n_points=int(u.size))
+                   n_points=int(x.size))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +201,21 @@ def _estimate_pair(X: EmpiricalMeasure, Y: EmpiricalMeasure, cfg: ExperimentConf
     return est, se
 
 
+def _drift(cfg: ExperimentConfig, d: int) -> DriftSpec:
+    return (DriftSpec.ornstein_uhlenbeck(d) if cfg.drift == "ou"
+            else DriftSpec.dissipative_tanh(d, cfg.drift_param))
+
+
+def _drift_and_steps(cfg: ExperimentConfig, d: int, T: float):
+    """The configured drift in dimension d and the Euler step count over
+    [0, T]: cfg.n_steps if set, else steps of 1e-3 shortened to 1e-3/theta1
+    for drifts whose Lipschitz bound theta1 exceeds 1."""
+    drift = _drift(cfg, d)
+    h_target = 1e-3 * min(1.0, 1.0 / drift.theta1)
+    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(T / h_target))
+    return drift, n_steps
+
+
 def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
     """Clouds from the two stationary laws at matched sample count.
 
@@ -209,7 +228,7 @@ def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
         X = ou_stationary_sample(OuStationaryLaw(d=d, kind="stable", alpha=alpha), n, s_stable)
         Y = ou_stationary_sample(OuStationaryLaw(d=d, kind="gaussian"), n, s_gauss)
         return X, Y
-    drift = DriftSpec.dissipative_tanh(d, cfg.drift_param)
+    drift = _drift(cfg, d)
     burn = cfg.burn_in if cfg.burn_in is not None else 10.0 / drift.theta0
     steps_per_unit = 1000  # h = 1e-3, matching the integrator default
     X = ergodic_sample(StableModel(d=d, alpha=alpha), drift, burn, n, 1.0,
@@ -367,14 +386,7 @@ def _growth_fit(dims, values, use_log_factor: bool) -> RateFit:
     y = np.log(np.asarray(values, dtype=float))
     if x.size < 3:
         raise ValueError("growth fit needs >= 3 dimensions")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return RateFit(slope=float(slope), intercept=float(intercept),
-                   r_squared=max(0.0, min(1.0, r2)),
-                   x_transform="log_dlogd" if use_log_factor else "log_d",
-                   n_points=int(x.size))
+    return _ols_fit(x, y, "log_dlogd" if use_log_factor else "log_d")
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +420,7 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     d = cfg.d_grid[0]
     n = cfg.n_samples if cfg.n_samples is not None else ASSIGNMENT_CAP
     T = cfg.T if cfg.T is not None else 8.0
-    drift = (DriftSpec.ornstein_uhlenbeck(d) if cfg.drift == "ou"
-             else DriftSpec.dissipative_tanh(d, cfg.drift_param))
-    h_target = 1e-3 * min(1.0, 1.0 / drift.theta1)
-    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(T / h_target))
+    drift, n_steps = _drift_and_steps(cfg, d, T)
     times = [t for t in _TRANSIENT_GRID if t <= T]
     if times[-1] < T:
         times.append(T)
@@ -487,10 +496,7 @@ def run_contraction(cfg: ExperimentConfig) -> ContractionResult:
     d = cfg.d_grid[0]
     n = cfg.n_samples if cfg.n_samples is not None else 512
     T = cfg.T if cfg.T is not None else 5.0
-    drift = (DriftSpec.ornstein_uhlenbeck(d) if cfg.drift == "ou"
-             else DriftSpec.dissipative_tanh(d, cfg.drift_param))
-    h_target = 1e-3 * min(1.0, 1.0 / drift.theta1)
-    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(T / h_target))
+    drift, n_steps = _drift_and_steps(cfg, d, T)
     times = list(np.linspace(0.0, T, 11))
 
     x0 = np.zeros(d)
@@ -549,11 +555,8 @@ def run_gradient_check(cfg: ExperimentConfig) -> GradientCheckResult:
     d = cfg.d_grid[0]
     n = cfg.n_samples if cfg.n_samples is not None else 65_536
     alphas = list(cfg.alpha_grid) + [2.0]
-    drift = (DriftSpec.ornstein_uhlenbeck(d) if cfg.drift == "ou"
-             else DriftSpec.dissipative_tanh(d, cfg.drift_param))
     T = float(_GRADIENT_TIMES[-1])
-    h_target = 1e-3 * min(1.0, 1.0 / drift.theta1)
-    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(T / h_target))
+    drift, n_steps = _drift_and_steps(cfg, d, T)
 
     x0 = np.zeros(d)
     x0[0] = 1.0

@@ -4,9 +4,10 @@ flows, and long-time (ergodic) sampling.
     dX_t = b(X_t) dt + sigma dL_t      (stable noise)
     dY_t = b(Y_t) dt + sigma dB_t      (Brownian noise)
 
-The scheme is explicit Euler with exact noise increments per step; there is
-no discretization theory to lean on for the stable case, so tests rely on
-step-halving self-consistency where no closed form exists.
+The scheme is explicit Euler with exact noise increments per step, run by
+one stepper (`_euler`) behind every integrator; there is no discretization
+theory to lean on for the stable case, so tests rely on step-halving
+self-consistency where no closed form exists.
 """
 from __future__ import annotations
 
@@ -17,7 +18,9 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .rng import as_generator
-from .sampling import StableModel, sample_subordinator_increment
+from .sampling import StableModel, sample_stable_increment
+# the benchmark's tracer (perfbench/tracing.py) wraps this binding
+from .sampling import sample_subordinator_increment  # noqa: F401
 from .wasserstein import EmpiricalMeasure
 
 OVERFLOW_LIMIT = 1e12  # heavy tails can launch a path astronomically far
@@ -33,10 +36,8 @@ class DriftSpec:
 
         <x - y, b(x) - b(y)> <= -theta0 |x-y|^2 + K,
 
-    theta1..theta3 bound the first three derivatives (theta2, theta3 are
-    carried as metadata only; nothing here integrates second variations).
-    eval must accept arrays of shape (..., d) and map them elementwise in
-    the leading axes.
+    theta1 bounds the first derivative.  eval must accept arrays of shape
+    (..., d) and map them elementwise in the leading axes.
     """
 
     kind: str
@@ -45,8 +46,6 @@ class DriftSpec:
     theta0: float
     K: float
     theta1: float
-    theta2: float = 0.0
-    theta3: float = 0.0
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -109,8 +108,6 @@ class DriftSpec:
             theta0=1.0 - c,
             K=0.0,
             theta1=1.0 + c,
-            theta2=c * 0.7699,  # max |(tanh)''| = 4/(3 sqrt(3))
-            theta3=2.0 * c,
             jacobian=lambda x: np.diag(-1.0 + c / np.cosh(x) ** 2),
         )
 
@@ -148,34 +145,61 @@ def _check_inputs(T, n_steps):
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
 
-def _draw_increments(model: StableModel, h: float, n: int, gen) -> np.ndarray:
-    """(n, d) noise increments for one step of size h, already through sigma."""
-    if model.is_brownian:
-        inc = np.sqrt(h) * gen.standard_normal((n, model.d))
+def _noise(model: StableModel) -> str:
+    return "brownian" if model.is_brownian else "stable"
+
+
+def _euler(model, drift, Z, h, n_steps, gen, record_steps, out):
+    """The Euler stepper Z <- Z + b(Z) h + increment over a (k, n, d) stack.
+
+    The k slices share every (n, d) increment, so slice j of member i is
+    synchronously coupled to every other slice of member i.  out[i]
+    receives the stack after record_steps[i] steps (ascending, repeats
+    allowed, 0 meaning the initial state).  Raises IntegrationError at the
+    first step that leaves any coordinate non-finite or beyond
+    OVERFLOW_LIMIT.
+    """
+    n = Z.shape[1]
+    i = 0
+    for k in range(n_steps + 1):
+        if k:
+            Z = Z + drift.eval(Z) * h + sample_stable_increment(model, h, gen, size=n)
+            # NaN fails the comparison too, so this also catches non-finite states
+            ok = np.abs(Z) <= OVERFLOW_LIMIT
+            if not ok.all():
+                bad = int((~ok.all(axis=-1)).sum())
+                raise IntegrationError(
+                    f"{bad} path(s) left the representable range at step {k}", step=k
+                )
+        while i < len(record_steps) and record_steps[i] == k:
+            out[i] = Z
+            i += 1
+
+
+def _integrate_stack(model, drift, Z, T, n_steps, rng, record_times=None):
+    """Run the (k, n, d) stack Z over [0, T] in n_steps Euler steps.
+
+    Snapshots are taken at the grid steps nearest record_times, in step
+    order (every step when record_times is None).  Returns (snapshot
+    times, array of shape (n_snapshots, k, n, d)).
+    """
+    _check_inputs(T, n_steps)
+    h = T / n_steps
+    if record_times is None:
+        steps = range(n_steps + 1)
     else:
-        s = sample_subordinator_increment(model.alpha, h, gen, size=n)
-        inc = np.sqrt(s)[:, None] * gen.standard_normal((n, model.d))
-    return inc @ model.sigma.T
+        steps = sorted(min(n_steps, max(0, round(t / h))) for t in record_times)
+    out = np.empty((len(steps),) + Z.shape)
+    _euler(model, drift, Z, h, n_steps, as_generator(rng), steps, out)
+    return [k * h for k in steps], out
 
 
 def integrate(model: StableModel, drift: DriftSpec, x0, T, n_steps, rng) -> SdePath:
     """Euler path x_{k+1} = x_k + b(x_k) h + increment_k, h = T/n_steps."""
-    _check_inputs(T, n_steps)
-    gen = as_generator(rng)
-    h = T / n_steps
-    x = np.asarray(x0, dtype=float).reshape(model.d)
-    states = np.empty((n_steps + 1, model.d))
-    states[0] = x
-    for k in range(n_steps):
-        x = x + drift.eval(x) * h + _draw_increments(model, h, 1, gen)[0]
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > OVERFLOW_LIMIT:
-            raise IntegrationError(
-                f"path left the representable range at step {k + 1}", step=k + 1
-            )
-        states[k + 1] = x
-    times = np.linspace(0.0, T, n_steps + 1)
-    return SdePath(times=times, states=states,
-                   noise="brownian" if model.is_brownian else "stable")
+    x = np.asarray(x0, dtype=float).reshape(1, 1, model.d)
+    _, states = _integrate_stack(model, drift, x, T, n_steps, rng)
+    return SdePath(times=np.linspace(0.0, T, n_steps + 1), states=states[:, 0, 0],
+                   noise=_noise(model))
 
 
 def integrate_coupled(model, drift, x0, y0, T, n_steps, rng):
@@ -184,29 +208,11 @@ def integrate_coupled(model, drift, x0, y0, T, n_steps, rng):
     The noise cancels in the difference, so for the linear drift the gap
     contracts deterministically: |X_k - Y_k| = |x0-y0| (1-h)^k.
     """
-    _check_inputs(T, n_steps)
-    gen = as_generator(rng)
-    h = T / n_steps
-    x = np.asarray(x0, dtype=float).reshape(model.d)
-    y = np.asarray(y0, dtype=float).reshape(model.d)
-    xs = np.empty((n_steps + 1, model.d))
-    ys = np.empty((n_steps + 1, model.d))
-    xs[0], ys[0] = x, y
-    for k in range(n_steps):
-        inc = _draw_increments(model, h, 1, gen)[0]
-        x = x + drift.eval(x) * h + inc
-        y = y + drift.eval(y) * h + inc
-        for z in (x, y):
-            if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > OVERFLOW_LIMIT:
-                raise IntegrationError(
-                    f"coupled path left the representable range at step {k + 1}",
-                    step=k + 1,
-                )
-        xs[k + 1], ys[k + 1] = x, y
+    xy = np.array([np.asarray(z, dtype=float).reshape(model.d) for z in (x0, y0)])
+    _, states = _integrate_stack(model, drift, xy[:, None], T, n_steps, rng)
     times = np.linspace(0.0, T, n_steps + 1)
-    tag = "brownian" if model.is_brownian else "stable"
-    return (SdePath(times=times, states=xs, noise=tag),
-            SdePath(times=times, states=ys, noise=tag))
+    return (SdePath(times=times, states=states[:, 0, 0], noise=_noise(model)),
+            SdePath(times=times, states=states[:, 1, 0], noise=_noise(model)))
 
 
 def integrate_ensemble(model, drift, X0, T, n_steps, rng, record_times=None):
@@ -216,36 +222,12 @@ def integrate_ensemble(model, drift, X0, T, n_steps, rng, record_times=None):
     ensemble (each is rounded to the nearest grid point); defaults to [T].
     Returns (snapshot_times, list of (n, d) state arrays).
     """
-    _check_inputs(T, n_steps)
-    gen = as_generator(rng)
-    h = T / n_steps
-    X = np.array(X0, dtype=float, copy=True)
+    X = np.asarray(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError(f"X0 must be (n, {model.d}), got {X.shape}")
-    if record_times is None:
-        record_times = [T]
-    record_steps = [min(n_steps, max(0, round(t / h))) for t in record_times]
-    want = {}
-    for t_req, k_req in zip(record_times, record_steps):
-        want.setdefault(k_req, []).append(t_req)
-    snaps, snap_times = [], []
-    if 0 in want:
-        for _ in want[0]:
-            snaps.append(X.copy())
-            snap_times.append(0.0)
-    for k in range(n_steps):
-        X = X + drift.eval(X) * h + _draw_increments(model, h, X.shape[0], gen)
-        bad = ~np.isfinite(X).all(axis=1) | (np.abs(X).max(axis=1) > OVERFLOW_LIMIT)
-        if np.any(bad):
-            raise IntegrationError(
-                f"{int(bad.sum())} ensemble member(s) left the representable "
-                f"range at step {k + 1}", step=k + 1,
-            )
-        if (k + 1) in want:
-            for _ in want[k + 1]:
-                snaps.append(X.copy())
-                snap_times.append((k + 1) * h)
-    return snap_times, snaps
+    times, snaps = _integrate_stack(model, drift, X[None], T, n_steps, rng,
+                                    [T] if record_times is None else record_times)
+    return times, [s[0] for s in snaps]
 
 
 def integrate_coupled_ensemble(model, drift, X0, Y0, T, n_steps, rng,
@@ -253,42 +235,15 @@ def integrate_coupled_ensemble(model, drift, X0, Y0, T, n_steps, rng,
     """Synchronous coupling of two (n, d) ensembles: member i of X and member
     i of Y share every increment.  Returns (snapshot_times, list of
     (X_snap, Y_snap) pairs)."""
-    _check_inputs(T, n_steps)
-    gen = as_generator(rng)
-    h = T / n_steps
-    X = np.array(X0, dtype=float, copy=True)
-    Y = np.array(Y0, dtype=float, copy=True)
+    X = np.asarray(X0, dtype=float)
+    Y = np.asarray(Y0, dtype=float)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError(
             f"X0 and Y0 must both be (n, {model.d}), got {X.shape} and {Y.shape}"
         )
-    if record_times is None:
-        record_times = [T]
-    record_steps = [min(n_steps, max(0, round(t / h))) for t in record_times]
-    want = {}
-    for k_req in record_steps:
-        want[k_req] = want.get(k_req, 0) + 1
-    snaps, snap_times = [], []
-    if 0 in want:
-        for _ in range(want[0]):
-            snaps.append((X.copy(), Y.copy()))
-            snap_times.append(0.0)
-    for k in range(n_steps):
-        inc = _draw_increments(model, h, X.shape[0], gen)
-        X = X + drift.eval(X) * h + inc
-        Y = Y + drift.eval(Y) * h + inc
-        for Z in (X, Y):
-            bad = ~np.isfinite(Z).all(axis=1) | (np.abs(Z).max(axis=1) > OVERFLOW_LIMIT)
-            if np.any(bad):
-                raise IntegrationError(
-                    f"{int(bad.sum())} coupled member(s) left the representable "
-                    f"range at step {k + 1}", step=k + 1,
-                )
-        if (k + 1) in want:
-            for _ in range(want[k + 1]):
-                snaps.append((X.copy(), Y.copy()))
-                snap_times.append((k + 1) * h)
-    return snap_times, snaps
+    times, snaps = _integrate_stack(model, drift, np.stack([X, Y]), T, n_steps, rng,
+                                    [T] if record_times is None else record_times)
+    return times, [(s[0], s[1]) for s in snaps]
 
 
 def variational_flow(path: SdePath, drift: DriftSpec, v) -> VariationalPath:
@@ -320,32 +275,14 @@ def ergodic_sample(model, drift, burn_in_T, n_samples, thinning_T,
         raise ValueError("burn_in_T and thinning_T must be positive")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    gen = as_generator(rng)
     if n_chains is None:
         n_chains = min(n_samples, 256)
-    h = 1.0 / n_steps_per_unit
-    X = np.zeros((n_chains, model.d))
     burn_steps = max(1, round(burn_in_T * n_steps_per_unit))
-    for k in range(burn_steps):
-        X = X + drift.eval(X) * h + _draw_increments(model, h, n_chains, gen)
-        bad = ~np.isfinite(X).all(axis=1) | (np.abs(X).max(axis=1) > OVERFLOW_LIMIT)
-        if np.any(bad):
-            raise IntegrationError(
-                f"{int(bad.sum())} chain(s) overflowed during burn-in at "
-                f"step {k + 1}", step=k + 1,
-            )
     thin_steps = max(1, round(thinning_T * n_steps_per_unit))
     rounds = -(-n_samples // n_chains)
     collected = np.empty((rounds, n_chains, model.d))
-    for r in range(rounds):
-        for k in range(thin_steps):
-            X = X + drift.eval(X) * h + _draw_increments(model, h, n_chains, gen)
-            bad = ~np.isfinite(X).all(axis=1) | (np.abs(X).max(axis=1) > OVERFLOW_LIMIT)
-            if np.any(bad):
-                raise IntegrationError(
-                    f"{int(bad.sum())} chain(s) overflowed while thinning at "
-                    f"step {k + 1}", step=k + 1,
-                )
-        collected[r] = X
+    steps = range(burn_steps + thin_steps, burn_steps + rounds * thin_steps + 1, thin_steps)
+    _euler(model, drift, np.zeros((1, n_chains, model.d)), 1.0 / n_steps_per_unit,
+           steps[-1], as_generator(rng), steps, collected[:, None])
     pts = collected.reshape(-1, model.d)[:n_samples]
     return EmpiricalMeasure(points=pts)

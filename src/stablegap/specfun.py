@@ -7,7 +7,6 @@ log-gamma stays representable far beyond any dimension of interest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -78,12 +77,6 @@ def ratio_minus_one(d: int, alpha: float) -> float:
         - log_gamma(0.5 * d)
     )
     return math.expm1(log_ratio)
-
-
-def j11_prefactor(d: int, alpha: float) -> float:
-    """Exactly half of ratio_minus_one: the coefficient of the Hessian trace
-    term left over when the stable generator acts on a quadratic."""
-    return 0.5 * ratio_minus_one(d, alpha)
 
 
 def crate_bound_fit(d_grid, alpha_grid) -> float:
@@ -177,28 +170,3 @@ def phi(x: float) -> float:
         raise DomainError(f"phi requires x in (1,2], got {x}")
     return (2.0 * x) ** (-1.0 / x) * math.gamma(1.0 - 1.0 / x)
 
-
-@dataclass(frozen=True)
-class DimConstants:
-    """The (d, alpha) constants bundle: intensity constant, sphere surface,
-    and the normalized ratio that tends to 1 as alpha -> 2."""
-
-    d: int
-    alpha: float
-    a_const: float
-    omega: float
-    ratio: float
-
-    def __post_init__(self):
-        if self.a_const <= 0 or self.omega <= 0:
-            raise DomainError("a_const and omega must be positive")
-
-
-def dim_constants(d: int, alpha: float) -> DimConstants:
-    return DimConstants(
-        d=d,
-        alpha=alpha,
-        a_const=stable_intensity_constant(d, alpha),
-        omega=sphere_surface(d),
-        ratio=1.0 + ratio_minus_one(d, alpha),
-    )

@@ -6,7 +6,6 @@ import pytest
 from stablegap import (
     DEFAULT_ALPHA_GRID,
     ExperimentConfig,
-    config_from_mapping,
     load_config,
     parse_config_text,
 )
@@ -69,7 +68,7 @@ def test_parse_config_text():
     assert data["seed"] == 3
     assert data["alpha_grid"] == (1.8, 1.9, 1.95)
     assert data["d_grid"] == (1, 3, 5)
-    cfg = config_from_mapping(data)
+    cfg = ExperimentConfig(**data)
     assert cfg.n_samples == 4096 and cfg.estimator == "assignment"
 
 

@@ -23,6 +23,7 @@ from stablegap import (
     integrate_coupled_ensemble,
     integrate_ensemble,
     ou_transient_char,
+    sample_subordinator_increment,
     variational_flow,
 )
 from conftest import z_score
@@ -32,6 +33,24 @@ def euler_ou_var(h: float, k: int) -> float:
     """Variance of the Euler chain x -> (1-h)x + N(0,h) after k steps from 0."""
     r = (1.0 - h) ** 2
     return h * (1.0 - r ** k) / (1.0 - r)
+
+
+def reference_euler(model, drift, X0, h, n_steps, gen):
+    """The plain Euler loop every integrator must reproduce bit for bit:
+    all n_steps + 1 states of the (n, d) ensemble X0, increments drawn
+    step by step as subordinated Gaussians through sigma."""
+    X = np.array(X0, dtype=float, copy=True)
+    n, d = X.shape
+    states = [X]
+    for _ in range(n_steps):
+        if model.is_brownian:
+            inc = np.sqrt(h) * gen.standard_normal((n, d))
+        else:
+            s = sample_subordinator_increment(model.alpha, h, gen, size=n)
+            inc = np.sqrt(s)[:, None] * gen.standard_normal((n, d))
+        X = X + drift.eval(X) * h + inc @ model.sigma.T
+        states.append(X)
+    return np.array(states)
 
 
 def test_drift_spec_validation():
@@ -161,6 +180,55 @@ def test_overflow_raises_with_step_index():
     with pytest.raises(IntegrationError):
         integrate_coupled_ensemble(model, drift, np.full((3, 1), 5e12),
                                    np.zeros((3, 1)), 1.0, 10, RngStream(8))
+    # the step index counts from the start of the run, burn-in included
+    # (5 burn-in steps here, and every chain survives them)
+    wild = StableModel(d=1, alpha=1.5, sigma=1e11 * np.eye(1))
+    for seed in range(6):
+        with pytest.raises(IntegrationError) as exc:
+            ergodic_sample(wild, drift, 0.05, 4000, 0.05, 100, RngStream(seed),
+                           n_chains=4)
+        assert exc.value.step > 5
+
+
+@pytest.mark.parametrize("tanh", [False, True])
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("d", [1, 3])
+def test_all_integrators_match_reference_loop(tanh, alpha, d):
+    sigma = 0.7 * np.eye(d) + 0.2 * np.tri(d, k=-1)
+    model = StableModel(d=d, alpha=alpha, sigma=sigma)
+    drift = DriftSpec.dissipative_tanh(d) if tanh else DriftSpec.ornstein_uhlenbeck(d)
+    gen = lambda: RngStream(16, d).generator()  # noqa: E731
+    T, n_steps, h = 1.0, 20, 0.05
+    X0 = np.linspace(-2.0, 2.0, 5 * d).reshape(5, d)
+    Y0 = -0.5 * X0
+    ref_x = reference_euler(model, drift, X0, h, n_steps, gen())
+    ref_y = reference_euler(model, drift, Y0, h, n_steps, gen())
+
+    # snapshots at the nearest grid step, in step order, duplicates kept
+    record = [0.0, 0.33, 0.5, 0.5, 1.0]
+    steps = [0, 7, 10, 10, 20]
+    times, snaps = integrate_ensemble(model, drift, X0, T, n_steps, gen(),
+                                      record_times=record)
+    assert times == [k * h for k in steps]
+    assert all(np.array_equal(s, ref_x[k]) for s, k in zip(snaps, steps))
+    times, pairs = integrate_coupled_ensemble(model, drift, X0, Y0, T, n_steps,
+                                              gen(), record_times=record)
+    assert times == [k * h for k in steps]
+    for (sx, sy), k in zip(pairs, steps):
+        assert np.array_equal(sx, ref_x[k]) and np.array_equal(sy, ref_y[k])
+
+    path = integrate(model, drift, X0[0], T, n_steps, gen())
+    assert np.array_equal(path.states, reference_euler(
+        model, drift, X0[:1], h, n_steps, gen())[:, 0])
+    px, py = integrate_coupled(model, drift, X0[0], Y0[0], T, n_steps, gen())
+    assert np.array_equal(px.states, path.states)
+    assert np.array_equal(py.states, reference_euler(
+        model, drift, Y0[:1], h, n_steps, gen())[:, 0])
+
+    # 5 burn-in steps, then one state per chain every 3 steps, 3 rounds
+    m = ergodic_sample(model, drift, 0.05, 10, 0.03, 100, gen(), n_chains=4)
+    ref = reference_euler(model, drift, np.zeros((4, d)), 0.01, 14, gen())
+    assert np.array_equal(m.points, ref[[8, 11, 14]].reshape(-1, d)[:10])
 
 
 def test_variational_flow_linear_drift_exact():

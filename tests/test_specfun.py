@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 from stablegap import (
     DomainError,
     crate_bound_fit,
-    dim_constants,
     gaussian_mean_norm,
-    j11_prefactor,
     log_gamma,
     mean_norm_prefactor,
     phi,
@@ -90,13 +88,6 @@ def test_ratio_tends_to_one_monotonically():
     for d in (1, 3, 20):
         vals = [abs(ratio_minus_one(d, 2.0 - 10.0 ** -k)) for k in range(1, 9)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_j11_prefactor_is_half_the_ratio_gap():
-    for d in (1, 2, 7):
-        for a in (1.5, 1.9):
-            assert j11_prefactor(d, a) == pytest.approx(0.5 * ratio_minus_one(d, a),
-                                                        rel=1e-14)
 
 
 def test_crate_bound_fit_covers_wide_envelope():
@@ -219,13 +210,6 @@ def test_domain_errors():
         stable_mean_norm(2, 1.0)  # infinite mean at alpha = 1
     with pytest.raises(DomainError):
         phi(1.0)
-
-
-def test_dim_constants_bundle_consistent():
-    c = dim_constants(3, 1.7)
-    assert c.a_const == stable_intensity_constant(3, 1.7)
-    assert c.omega == sphere_surface(3)
-    assert c.ratio == pytest.approx(1.0 + ratio_minus_one(3, 1.7), rel=1e-14)
 
 
 @given(d=st.integers(min_value=1, max_value=150),
