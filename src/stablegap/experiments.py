@@ -206,13 +206,17 @@ def _drift(cfg: ExperimentConfig, d: int) -> DriftSpec:
             else DriftSpec.dissipative_tanh(d, cfg.drift_param))
 
 
+def _step_target(drift: DriftSpec) -> float:
+    """The default Euler step: 1e-3, shortened to 1e-3/theta1 for drifts
+    whose Lipschitz bound theta1 exceeds 1."""
+    return 1e-3 * min(1.0, 1.0 / drift.theta1)
+
+
 def _drift_and_steps(cfg: ExperimentConfig, d: int, T: float):
     """The configured drift in dimension d and the Euler step count over
-    [0, T]: cfg.n_steps if set, else steps of 1e-3 shortened to 1e-3/theta1
-    for drifts whose Lipschitz bound theta1 exceeds 1."""
+    [0, T]: cfg.n_steps if set, else T over the default step."""
     drift = _drift(cfg, d)
-    h_target = 1e-3 * min(1.0, 1.0 / drift.theta1)
-    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(T / h_target))
+    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(T / _step_target(drift)))
     return drift, n_steps
 
 
@@ -230,7 +234,7 @@ def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
         return X, Y
     drift = _drift(cfg, d)
     burn = cfg.burn_in if cfg.burn_in is not None else 10.0 / drift.theta0
-    steps_per_unit = 1000  # h = 1e-3, matching the integrator default
+    steps_per_unit = round(1.0 / _step_target(drift))
     X = ergodic_sample(StableModel(d=d, alpha=alpha), drift, burn, n, 1.0,
                        steps_per_unit, s_stable)
     Y = ergodic_sample(StableModel(d=d, alpha=2.0), drift, burn, n, 1.0,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .rng import as_generator
 
 
@@ -63,9 +63,13 @@ def _kanter_onesided(beta: float, n: int, gen: np.random.Generator) -> np.ndarra
         a(u) = [sin(beta u)^beta sin((1-beta) u)^(1-beta) / sin(u)]^(1/(1-beta)).
 
     Evaluated in log-space: near beta -> 1 the exponent (1-beta)/beta makes
-    the direct form overflow while the log form stays tame.
+    the direct form overflow while the log form stays tame.  U = 0 (which
+    the half-open uniform can return) makes a(U) 0/0; it raises
+    InvariantError instead of passing NaN on.
     """
     u = gen.uniform(0.0, np.pi, size=n)
+    if not u.all():
+        raise InvariantError("Kanter subordinator draw hit U = 0 (a(U) is 0/0)")
     e = gen.standard_exponential(size=n)
     log_a = (
         beta * np.log(np.sin(beta * u))

@@ -183,12 +183,12 @@ def w1_mean_norm_lower(X, Y) -> W1Estimate:
 def _resample_sorted(sorted_vals: np.ndarray, gen) -> np.ndarray:
     """A bootstrap resample of a sorted scalar sample, returned sorted.
 
-    Multinomial counts over the n points are an exact bootstrap draw, and
-    repeating the sorted values by their counts keeps the order, so no
-    re-sort is needed (O(n) instead of O(n log n))."""
+    n iid uniform indices, counted per point, are an exact bootstrap draw;
+    repeating the sorted values by their counts gives the resample already
+    in order, so it needs no re-sort.  Counting the indices with bincount
+    costs a fraction of an equivalent multinomial draw."""
     n = sorted_vals.shape[0]
-    counts = gen.multinomial(n, np.full(n, 1.0 / n))
-    return np.repeat(sorted_vals, counts)
+    return np.repeat(sorted_vals, np.bincount(gen.integers(0, n, n), minlength=n))
 
 
 def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
@@ -197,7 +197,8 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
 
     Both clouds are independently resampled with replacement and the chosen
     estimator recomputed per resample; the standard deviation across the
-    resamples is returned.
+    resamples is returned.  Each resample draws the X indices, then the Y
+    indices, from one generator.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
@@ -205,14 +206,24 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
     gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
     vals = np.empty(n_resamples)
     # in one dimension every exact or sliced variant reduces to the sorted
-    # order-statistics formula, so resampling can stay O(n)
+    # order-statistics formula: sort once, then each resample is a counted
+    # draw of already-sorted values and one pass over a reused gap buffer
     if estimator in ("exact_1d", "sliced", "exact_assignment") and X.d == 1:
         sx = np.sort(X.points[:, 0])
         sy = np.sort(Y.points[:, 0])
+        gap = np.empty_like(sx)
         for i in range(n_resamples):
-            rx = _resample_sorted(sx, gen)
-            ry = _resample_sorted(sy, gen)
-            vals[i] = np.abs(rx - ry).mean()
+            np.subtract(_resample_sorted(sx, gen), _resample_sorted(sy, gen), out=gap)
+            vals[i] = np.abs(gap, out=gap).mean()
+        return float(vals.std(ddof=1))
+    if estimator == "mean_norm_lower":
+        # the estimator only sees the norms, so resample those directly
+        nx = np.linalg.norm(X.points, axis=1)
+        ny = np.linalg.norm(Y.points, axis=1)
+        for i in range(n_resamples):
+            ix = gen.integers(0, X.n, X.n)
+            iy = gen.integers(0, Y.n, Y.n)
+            vals[i] = abs(nx[ix].mean() - ny[iy].mean())
         return float(vals.std(ddof=1))
     for i in range(n_resamples):
         ix = gen.integers(0, X.n, X.n)
@@ -223,8 +234,6 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
             vals[i] = w1_assignment(RX, RY, **kwargs).value
         elif estimator == "sliced":
             vals[i] = w1_sliced(RX, RY, rng=gen, **kwargs).value
-        elif estimator == "mean_norm_lower":
-            vals[i] = w1_mean_norm_lower(RX, RY).value
         elif estimator == "exact_1d":
             vals[i] = w1_exact_1d(RX.points[:, 0], RY.points[:, 0]).value
         else:

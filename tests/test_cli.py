@@ -1,7 +1,9 @@
 """CLI behavior: flag plumbing, exit codes, and output files."""
+import numpy as np
 import pytest
 
-from stablegap import ExperimentConfig, load_results
+from conftest import ZeroUniform
+from stablegap import ExperimentConfig, RngStream, load_results
 from stablegap.cli import main
 
 
@@ -58,6 +60,16 @@ def test_overflow_is_invariant_failure(tmp_path, capsys):
     code = main(["contraction", "--config", str(cfg)])
     assert code == 1
     assert "invariant failure" in capsys.readouterr().err
+
+
+def test_zero_kanter_uniform_is_invariant_failure(monkeypatch, capsys):
+    # a sampler that cannot evaluate its own draw is a failed run (exit 1),
+    # not an argument error (exit 2)
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: ZeroUniform(np.random.Philox(key=[self.seed, self.stream_id])))
+    code = main(["alpha-sweep", "--seed", "1", "--alpha", "1.5", "--samples", "64"])
+    assert code == 1
+    assert "U = 0" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_overrides(tmp_path, capsys):

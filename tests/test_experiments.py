@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stablegap import (
+    EmpiricalMeasure,
     ExperimentConfig,
     InvariantError,
     RateFit,
@@ -23,6 +24,7 @@ from stablegap import (
     worker_count,
     write_csv,
 )
+import stablegap.experiments as experiments
 from stablegap.experiments import format_value
 
 
@@ -279,3 +281,22 @@ def test_csv_outputs_byte_identical_across_reruns(tmp_path):
     assert header[-1] == "config_hash"
     assert all(r[-1] == cfg.config_hash() for r in rows)
     assert len(rows) == 3
+
+
+def test_custom_drift_stationary_reference_uses_the_default_step(monkeypatch):
+    # tanh with c = 0.5 has theta1 = 1.5, so the default step is 1e-3/1.5:
+    # the stationary reference must simulate at 1500 steps per unit time,
+    # the step of the transient curve it is compared with
+    seen = []
+
+    def fake_ergodic(model, drift, burn_in_T, n_samples, thinning_T,
+                     n_steps_per_unit, rng, n_chains=None):
+        seen.append(n_steps_per_unit)
+        return EmpiricalMeasure(points=rng.generator().standard_normal((n_samples, model.d)))
+
+    monkeypatch.setattr(experiments, "ergodic_sample", fake_ergodic)
+    cfg = ExperimentConfig(experiment="transient", seed=3, drift="custom",
+                           drift_param=0.5, alpha_grid=(1.5,), n_samples=16,
+                           T=1.0, n_bootstrap=4)
+    run_transient(cfg)
+    assert seen == [1500, 1500]

@@ -17,6 +17,7 @@ from scipy import stats
 from stablegap import (
     DomainError,
     EmpiricalMeasure,
+    InvariantError,
     RngStream,
     StableModel,
     empirical_char_function,
@@ -24,7 +25,7 @@ from stablegap import (
     sample_stable_increment,
     sample_subordinator_increment,
 )
-from conftest import z_score
+from conftest import ZeroUniform, z_score
 
 N = 400_000
 
@@ -50,6 +51,12 @@ def test_subordinator_laplace_transform(alpha, t, r):
     s = sample_subordinator_increment(alpha, t, RngStream(101), size=N)
     target = math.exp(-0.5 * t * (2.0 * r) ** (alpha / 2.0))
     assert z_score(np.exp(-r * s), target) < 4.0
+
+
+def test_kanter_zero_uniform_is_invariant_error():
+    gen = ZeroUniform(np.random.Philox(1))
+    with pytest.raises(InvariantError, match="U = 0"):
+        sample_subordinator_increment(1.5, 0.1, gen, size=8)
 
 
 def test_subordinator_positive_and_heavy_tailed():

@@ -204,6 +204,54 @@ def test_bootstrap_covers_every_estimator():
         assert se > 0 and math.isfinite(se)
 
 
+@pytest.mark.parametrize("estimator", ["exact_1d", "sliced", "exact_assignment"])
+def test_bootstrap_1d_fast_path_matches_index_loop(estimator):
+    # on sorted inputs an index into the sorted copy is an index into the
+    # input, so the counted fast path must equal the plain loop bit for bit
+    n, R = 1000, 50
+    gen = RngStream(41).generator()
+    x = np.sort(gen.standard_normal(n))
+    y = np.sort(gen.standard_normal(n) + 0.2)
+    se = bootstrap_stderr(x, y, estimator, n_resamples=R, rng=RngStream(42))
+    g2 = RngStream(42).generator()
+    ref = [w1_exact_1d(x[g2.integers(0, n, n)], y[g2.integers(0, n, n)]).value
+           for _ in range(R)]
+    assert se == np.std(ref, ddof=1)
+
+
+def test_bootstrap_1d_fast_path_has_the_index_loop_law():
+    # unsorted inputs: the two paths draw different resamples of the same
+    # law, so their SEs agree only statistically.  Each SE from R = 400
+    # resamples has relative error about 1/sqrt(2 R) = 3.5%, their ratio
+    # about 5%; 20% is four of those.
+    n, R = 2000, 400
+    gen = RngStream(43).generator()
+    x = gen.standard_normal(n)
+    y = gen.standard_normal(n) + 0.5
+    se = bootstrap_stderr(x, y, "exact_1d", n_resamples=R, rng=RngStream(44))
+    g2 = RngStream(45).generator()
+    ref = [w1_exact_1d(x[g2.integers(0, n, n)], y[g2.integers(0, n, n)]).value
+           for _ in range(R)]
+    assert se == pytest.approx(np.std(ref, ddof=1), rel=0.2)
+
+
+def test_bootstrap_mean_norm_matches_cloud_loop():
+    # resampling the precomputed norms must give what rebuilding both
+    # resampled clouds and rerunning the estimator gives, bit for bit
+    gen = RngStream(46).generator()
+    X, Y = gen.standard_normal((300, 3)), 1.2 * gen.standard_normal((200, 3))
+    R = 60
+    se = bootstrap_stderr(X, Y, "mean_norm_lower", n_resamples=R, rng=RngStream(47))
+    g2 = RngStream(47).generator()
+    ref = []
+    for _ in range(R):
+        ix = g2.integers(0, 300, 300)
+        iy = g2.integers(0, 200, 200)
+        ref.append(w1_mean_norm_lower(EmpiricalMeasure(points=X[ix]),
+                                      EmpiricalMeasure(points=Y[iy])).value)
+    assert se == np.std(ref, ddof=1)
+
+
 def test_bootstrap_rejects_bad_args():
     x = np.zeros(8)
     with pytest.raises(ValueError):
