@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import DRIFTS, ESTIMATORS, ExperimentConfig, _parse_grid, load_config
+from .config import DRIFTS, ESTIMATORS, EXPERIMENTS, ExperimentConfig, _parse_grid, load_config
 from .errors import IntegrationError, InvariantError
 from .experiments import (
     run_alpha_sweep,
@@ -22,14 +22,7 @@ from .experiments import (
     worker_count,
 )
 
-_SUBCOMMANDS = {
-    "alpha-sweep": "alpha_sweep",
-    "dim-sweep": "dim_sweep",
-    "transient": "transient",
-    "contraction": "contraction",
-    "gradient-check": "gradient_check",
-    "selftest": "selftest",
-}
+_SUBCOMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,12 +60,7 @@ def _build_config(args) -> ExperimentConfig:
         "estimator": args.estimator,
         "drift": args.drift,
     }
-    if args.config:
-        return load_config(args.config, overrides)
-    data = {k: v for k, v in overrides.items() if v is not None}
-    if "seed" not in data:
-        raise ValueError("seed is mandatory; pass --seed or put seed= in a config file")
-    return ExperimentConfig(**data)
+    return load_config(args.config, overrides)
 
 
 def _print_fit(label, fit):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Optional, Tuple
 
 EXPERIMENTS = (
@@ -21,7 +22,9 @@ EXPERIMENTS = (
     "selftest",
 )
 
-ESTIMATORS = ("assignment", "sliced", "mean-norm")
+# --estimator name -> the wasserstein method tag it runs
+ESTIMATORS = {"assignment": "exact_assignment", "sliced": "sliced",
+              "mean-norm": "mean_norm_lower"}
 
 DRIFTS = ("ou", "custom")
 
@@ -67,7 +70,7 @@ class ExperimentConfig:
             )
         if self.estimator not in ESTIMATORS:
             raise ValueError(
-                f"unknown estimator {self.estimator!r}; choose from {ESTIMATORS}"
+                f"unknown estimator {self.estimator!r}; choose from {tuple(ESTIMATORS)}"
             )
         if self.drift not in DRIFTS:
             raise ValueError(f"unknown drift {self.drift!r}; choose from {DRIFTS}")
@@ -178,9 +181,11 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        data = parse_config_text(fh.read())
-    if overrides:
-        data.update({k: v for k, v in overrides.items() if v is not None})
+def load_config(path: Optional[str], overrides: Optional[dict] = None) -> ExperimentConfig:
+    """The config of a key=value file (none if path is empty) with the
+    overrides that are not None on top."""
+    data = parse_config_text(Path(path).read_text(encoding="utf-8") if path else "")
+    data.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    if "seed" not in data:
+        raise ValueError("seed is mandatory; pass --seed or put seed= in a config file")
     return ExperimentConfig(**data)

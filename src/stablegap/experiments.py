@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, DEFAULT_SWEEP_SAMPLES
-from .errors import InvariantError
+from .config import DEFAULT_SWEEP_SAMPLES, ESTIMATORS, ExperimentConfig
+from .errors import CapacityError, InvariantError
 from .ou import OuStationaryLaw, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
 from .rng import RngStream
 from .sampling import StableModel, sample_subordinator_increment
@@ -28,6 +28,7 @@ from .wasserstein import (
     EmpiricalMeasure,
     bootstrap_stderr,
     w1_assignment,
+    w1_estimate,
     w1_exact_1d,
     w1_mean_norm_lower,
     w1_sliced,
@@ -179,25 +180,26 @@ def _plot_path(path: str) -> str:
 # ---------------------------------------------------------------------------
 # Estimator dispatch
 
-def _estimate_pair(X: EmpiricalMeasure, Y: EmpiricalMeasure, cfg: ExperimentConfig,
-                   stream: RngStream, with_stderr: bool = True):
-    """One W1 estimate plus bootstrap standard error, per the configured
-    estimator.  The bootstrap stream is derived from `stream` so the point
-    estimate itself never depends on n_bootstrap."""
-    if cfg.estimator == "assignment":
-        est = w1_assignment(X, Y)
-    elif cfg.estimator == "sliced":
-        est = w1_sliced(X, Y, n_projections=cfg.n_projections, rng=stream.child(1))
-    else:
-        est = w1_mean_norm_lower(X, Y)
-    se = None
-    if with_stderr:
-        method = {"assignment": "exact_assignment", "sliced": "sliced",
-                  "mean-norm": "mean_norm_lower"}[cfg.estimator]
-        se = bootstrap_stderr(X, Y, estimator=method, n_resamples=cfg.n_bootstrap,
-                              rng=stream.child(2),
-                              **({"n_projections": cfg.n_projections}
-                                 if cfg.estimator == "sliced" else {}))
+def _method_and_n(cfg: ExperimentConfig, default_n: int):
+    """The configured estimator's method tag and the sample count per cloud:
+    cfg.n_samples, else default_n.  Assignment caps the default at
+    ASSIGNMENT_CAP and refuses a larger n here, before any sampling."""
+    method = ESTIMATORS[cfg.estimator]
+    cap = ASSIGNMENT_CAP if method == "exact_assignment" else math.inf
+    n = cfg.n_samples if cfg.n_samples is not None else min(default_n, cap)
+    if n > cap:
+        raise CapacityError(f"assignment solver capped at n={cap} (got n_samples={n}); "
+                            "use --estimator sliced for larger clouds")
+    return method, n
+
+
+def _estimate_pair(X, Y, method: str, cfg: ExperimentConfig, stream: RngStream):
+    """One W1 estimate by the method tag plus its bootstrap standard error.
+    The bootstrap stream is derived from `stream` so the point estimate
+    itself never depends on n_bootstrap."""
+    est = w1_estimate(method, X, Y, cfg.n_projections, stream.child(1))
+    se = bootstrap_stderr(X, Y, method, n_resamples=cfg.n_bootstrap,
+                          rng=stream.child(2), n_projections=cfg.n_projections)
     return est, se
 
 
@@ -242,12 +244,6 @@ def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
     return X, Y
 
 
-def _sweep_n(cfg: ExperimentConfig) -> int:
-    if cfg.n_samples is not None:
-        return cfg.n_samples
-    return ASSIGNMENT_CAP if cfg.estimator == "assignment" else DEFAULT_SWEEP_SAMPLES
-
-
 # ---------------------------------------------------------------------------
 # alpha sweep
 
@@ -269,12 +265,12 @@ def run_alpha_sweep(cfg: ExperimentConfig) -> AlphaSweepResult:
     plot-ready companion with the transformed x columns and fitted lines.
     """
     d = cfg.d_grid[0]
-    n = _sweep_n(cfg)
+    method, n = _method_and_n(cfg, DEFAULT_SWEEP_SAMPLES)
 
     def one(alpha: float):
         X, Y = _stationary_pair(d, alpha, n, cfg)
         stream = derive_stream(cfg.seed, "alpha_sweep", d, alpha, n)
-        est, se = _estimate_pair(X, Y, cfg, stream)
+        est, se = _estimate_pair(X, Y, method, cfg, stream)
         return est.value, se
 
     results = parallel_map(one, cfg.alpha_grid)
@@ -349,13 +345,10 @@ def run_dim_sweep(cfg: ExperimentConfig) -> DimSweepResult:
         lower = ou_w1_lower_exact(d, alpha)
         X, Y = _stationary_pair(d, alpha, n_mean, cfg)
         mn = w1_mean_norm_lower(X, Y)
-        Xs = EmpiricalMeasure(points=X.points[:n_sliced])
-        Ys = EmpiricalMeasure(points=Y.points[:n_sliced])
-        sl = w1_sliced(Xs, Ys, n_projections=cfg.n_projections,
+        sl = w1_sliced(X.points[:n_sliced], Y.points[:n_sliced],
+                       n_projections=cfg.n_projections,
                        rng=derive_stream(cfg.seed, "dim_sweep_dirs", d, alpha))
-        Xa = EmpiricalMeasure(points=X.points[:n_assign])
-        Ya = EmpiricalMeasure(points=Y.points[:n_assign])
-        asg = w1_assignment(Xa, Ya)
+        asg = w1_assignment(X.points[:n_assign], Y.points[:n_assign])
         return lower, mn.value, mn.stderr, sl.value, asg.value
 
     results = parallel_map(one, cfg.d_grid)
@@ -422,7 +415,7 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     """
     alpha = cfg.alpha_grid[0]
     d = cfg.d_grid[0]
-    n = cfg.n_samples if cfg.n_samples is not None else ASSIGNMENT_CAP
+    method, n = _method_and_n(cfg, ASSIGNMENT_CAP)
     T = cfg.T if cfg.T is not None else 8.0
     drift, n_steps = _drift_and_steps(cfg, d, T)
     times = [t for t in _TRANSIENT_GRID if t <= T]
@@ -443,10 +436,8 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
         record_times=times)
 
     def one(i):
-        X = EmpiricalMeasure(points=snaps_x[i])
-        Y = EmpiricalMeasure(points=snaps_y[i])
         stream = derive_stream(cfg.seed, "transient_est", d, alpha, n, times[i])
-        est, se = _estimate_pair(X, Y, cfg, stream)
+        est, se = _estimate_pair(snaps_x[i], snaps_y[i], method, cfg, stream)
         return est.value, se
 
     results = parallel_map(one, range(len(times)))
@@ -462,7 +453,7 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     # stationary reference at the same alpha, n and estimator
     Xs, Ys = _stationary_pair(d, alpha, n, cfg)
     st_est, st_se = _estimate_pair(
-        Xs, Ys, cfg, derive_stream(cfg.seed, "transient_stat", d, alpha, n))
+        Xs, Ys, method, cfg, derive_stream(cfg.seed, "transient_stat", d, alpha, n))
 
     # early decay: fit log(W1) on rows clearly above the plateau
     early = w1 > max(5.0 * plateau, 1e-12)

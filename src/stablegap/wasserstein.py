@@ -9,7 +9,11 @@ Four estimators with different cost/validity tradeoffs:
   w1_mean_norm_lower |E|x| - E|y||: the norm is Lip(1), so this lower-bounds
                      W1 directly from the dual formulation
 
-Bootstrap resampling provides standard errors for all of them.
+`w1_estimate` runs the estimator of a method tag.  The CLI's `--estimator`
+names map to the tags assignment -> exact_assignment, sliced -> sliced and
+mean-norm -> mean_norm_lower; an assignment run above ASSIGNMENT_CAP is
+refused before it samples.  `bootstrap_stderr` is a separate call giving a
+standard error for any tag; only mean_norm_lower carries one itself.
 """
 from __future__ import annotations
 
@@ -70,10 +74,6 @@ class W1Estimate:
             raise ValueError("W1 estimates are nonnegative")
 
 
-def _as_cloud(x) -> EmpiricalMeasure:
-    return x if isinstance(x, EmpiricalMeasure) else EmpiricalMeasure(points=x)
-
-
 def _equalize(X: EmpiricalMeasure, Y: EmpiricalMeasure, rng=None):
     """Exact estimators need equal sample counts; subsample the larger cloud
     (without replacement) and warn, rather than rejecting outright."""
@@ -81,7 +81,7 @@ def _equalize(X: EmpiricalMeasure, Y: EmpiricalMeasure, rng=None):
         return X, Y
     warnings.warn(
         f"unequal sample counts ({X.n} vs {Y.n}); subsampling the larger "
-        "cloud to match", stacklevel=3,
+        "cloud to match", stacklevel=4,
     )
     gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
     n = min(X.n, Y.n)
@@ -92,18 +92,51 @@ def _equalize(X: EmpiricalMeasure, Y: EmpiricalMeasure, rng=None):
     return X, Y
 
 
-def w1_exact_1d(a, b) -> W1Estimate:
-    """Exact W1 between two equal-size scalar samples: the mean absolute gap
-    between sorted order statistics, which realizes the optimal assignment
-    in one dimension."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.size == 0:
-        raise ValueError("empty input")
-    value = float(np.abs(np.sort(a) - np.sort(b)).mean())
-    return W1Estimate(value=value, method="exact_1d", n_used=a.size)
+def _inputs(method: str, X, Y, rng=None):
+    """The input rule of a method tag.  Both inputs become clouds of one
+    dimension; then exact_1d needs d = 1 and equal counts, sliced and
+    exact_assignment subsample the larger cloud (drawing from rng, with a
+    warning), and mean_norm_lower takes any counts."""
+    X, Y = (c if isinstance(c, EmpiricalMeasure) else EmpiricalMeasure(points=c)
+            for c in (X, Y))
+    if X.d != Y.d:
+        raise ValueError(f"dimension mismatch: {X.d} vs {Y.d}")
+    if method in ("exact_assignment", "sliced"):
+        return _equalize(X, Y, rng)
+    if method == "exact_1d":
+        if X.d != 1:
+            raise ValueError(f"exact_1d needs d = 1, got d = {X.d}; "
+                             "use sliced or exact_assignment")
+        if X.n != Y.n:
+            raise ValueError(f"length mismatch: {X.n} vs {Y.n}")
+    elif method != "mean_norm_lower":
+        raise ValueError(f"unknown estimator {method!r}; choose from {_METHODS}")
+    return X, Y
+
+
+def w1_estimate(method: str, X, Y, n_projections: int = 64, rng=None) -> W1Estimate:
+    """The estimator of a method tag on (X, Y); each estimator applies its
+    tag's input rule (`_inputs`).  rng draws the sliced directions and any
+    subsample of unequal clouds.  The estimators are looked up by name per
+    call, so a rebinding of them (a tracer's wrapper) is seen here."""
+    if method == "exact_assignment":
+        return w1_assignment(X, Y, rng=rng)
+    if method == "sliced":
+        return w1_sliced(X, Y, n_projections, rng)
+    if method == "exact_1d":
+        return w1_exact_1d(X, Y)
+    if method == "mean_norm_lower":
+        return w1_mean_norm_lower(X, Y)
+    raise ValueError(f"unknown estimator {method!r}; choose from {_METHODS}")
+
+
+def w1_exact_1d(X, Y) -> W1Estimate:
+    """Exact W1 between two equal-size one-dimensional samples: the mean
+    absolute gap between sorted order statistics, which realizes the optimal
+    assignment in one dimension."""
+    X, Y = _inputs("exact_1d", X, Y)
+    value = float(np.abs(np.sort(X.points[:, 0]) - np.sort(Y.points[:, 0])).mean())
+    return W1Estimate(value=value, method="exact_1d", n_used=X.n)
 
 
 def w1_assignment(X, Y, cap: int = ASSIGNMENT_CAP, rng=None) -> W1Estimate:
@@ -113,10 +146,7 @@ def w1_assignment(X, Y, cap: int = ASSIGNMENT_CAP, rng=None) -> W1Estimate:
     The dense solver is O(n^3)-ish; n above the cap raises CapacityError
     rather than silently burning hours (use w1_sliced beyond the cap).
     """
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    if X.d != Y.d:
-        raise ValueError(f"dimension mismatch: {X.d} vs {Y.d}")
-    X, Y = _equalize(X, Y, rng)
+    X, Y = _inputs("exact_assignment", X, Y, rng)
     if X.n > cap:
         raise CapacityError(
             f"assignment solver capped at n={cap} (got {X.n}); "
@@ -142,22 +172,15 @@ def w1_sliced(X, Y, n_projections: int = 64, rng=None) -> W1Estimate:
     them.  In d=1 the only unit directions are +1 and -1 and both give the
     same value, so a single evaluation suffices.
     """
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    if X.d != Y.d:
-        raise ValueError(f"dimension mismatch: {X.d} vs {Y.d}")
     if n_projections < 1:
         raise ValueError("n_projections must be >= 1")
-    X, Y = _equalize(X, Y, rng)
+    X, Y = _inputs("sliced", X, Y, rng)
     if X.d == 1:
-        value = w1_exact_1d(X.points[:, 0], Y.points[:, 0]).value
+        value = w1_exact_1d(X, Y).value
         return W1Estimate(value=value, method="sliced", n_used=X.n)
     gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
-    dirs = _unit_directions(X.d, n_projections, gen)
-    best = 0.0
-    for theta in dirs:
-        v = w1_exact_1d(X.points @ theta, Y.points @ theta).value
-        if v > best:
-            best = v
+    best = max(w1_exact_1d(X.points @ theta, Y.points @ theta).value
+               for theta in _unit_directions(X.d, n_projections, gen))
     return W1Estimate(value=best, method="sliced", n_used=X.n)
 
 
@@ -165,9 +188,7 @@ def w1_mean_norm_lower(X, Y) -> W1Estimate:
     """|mean |x| - mean |y||: the norm is Lip(1), so the gap between mean
     norms lower-bounds W1.  Sample counts may differ.  The standard error
     combines the two mean standard errors in quadrature."""
-    X, Y = _as_cloud(X), _as_cloud(Y)
-    if X.d != Y.d:
-        raise ValueError(f"dimension mismatch: {X.d} vs {Y.d}")
+    X, Y = _inputs("mean_norm_lower", X, Y)
     nx = np.linalg.norm(X.points, axis=1)
     ny = np.linalg.norm(Y.points, axis=1)
     value = float(abs(nx.mean() - ny.mean()))
@@ -192,30 +213,20 @@ def _resample_sorted(sorted_vals: np.ndarray, gen) -> np.ndarray:
 
 
 def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
-                     **kwargs) -> float:
+                     n_projections: int = 64) -> float:
     """Bootstrap standard error of a W1 estimator on a fixed pair of clouds.
 
-    Both clouds are independently resampled with replacement and the chosen
-    estimator recomputed per resample; the standard deviation across the
+    After the estimator's input rule (applied once, drawing any subsample
+    from rng), both clouds are independently resampled with replacement and
+    the estimator recomputed per resample; the standard deviation across the
     resamples is returned.  Each resample draws the X indices, then the Y
-    indices, from one generator.
+    indices, then the sliced directions, from one generator.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
-    X, Y = _as_cloud(X), _as_cloud(Y)
     gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
+    X, Y = _inputs(estimator, X, Y, gen)
     vals = np.empty(n_resamples)
-    # in one dimension every exact or sliced variant reduces to the sorted
-    # order-statistics formula: sort once, then each resample is a counted
-    # draw of already-sorted values and one pass over a reused gap buffer
-    if estimator in ("exact_1d", "sliced", "exact_assignment") and X.d == 1:
-        sx = np.sort(X.points[:, 0])
-        sy = np.sort(Y.points[:, 0])
-        gap = np.empty_like(sx)
-        for i in range(n_resamples):
-            np.subtract(_resample_sorted(sx, gen), _resample_sorted(sy, gen), out=gap)
-            vals[i] = np.abs(gap, out=gap).mean()
-        return float(vals.std(ddof=1))
     if estimator == "mean_norm_lower":
         # the estimator only sees the norms, so resample those directly
         nx = np.linalg.norm(X.points, axis=1)
@@ -224,18 +235,20 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
             ix = gen.integers(0, X.n, X.n)
             iy = gen.integers(0, Y.n, Y.n)
             vals[i] = abs(nx[ix].mean() - ny[iy].mean())
-        return float(vals.std(ddof=1))
-    for i in range(n_resamples):
-        ix = gen.integers(0, X.n, X.n)
-        iy = gen.integers(0, Y.n, Y.n)
-        RX = EmpiricalMeasure(points=X.points[ix])
-        RY = EmpiricalMeasure(points=Y.points[iy])
-        if estimator == "exact_assignment":
-            vals[i] = w1_assignment(RX, RY, **kwargs).value
-        elif estimator == "sliced":
-            vals[i] = w1_sliced(RX, RY, rng=gen, **kwargs).value
-        elif estimator == "exact_1d":
-            vals[i] = w1_exact_1d(RX.points[:, 0], RY.points[:, 0]).value
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
+    elif X.d == 1:
+        # in one dimension every other estimator is the sorted order-statistics
+        # formula: sort once, then each resample is a counted draw of
+        # already-sorted values and one pass over a reused gap buffer
+        sx = np.sort(X.points[:, 0])
+        sy = np.sort(Y.points[:, 0])
+        gap = np.empty_like(sx)
+        for i in range(n_resamples):
+            np.subtract(_resample_sorted(sx, gen), _resample_sorted(sy, gen), out=gap)
+            vals[i] = np.abs(gap, out=gap).mean()
+    else:
+        for i in range(n_resamples):
+            ix = gen.integers(0, X.n, X.n)
+            iy = gen.integers(0, Y.n, Y.n)
+            vals[i] = w1_estimate(estimator, X.points[ix], Y.points[iy],
+                                  n_projections, gen).value
     return float(vals.std(ddof=1))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from stablegap import (
+    ASSIGNMENT_CAP,
+    CapacityError,
     EmpiricalMeasure,
     ExperimentConfig,
     InvariantError,
@@ -300,3 +302,24 @@ def test_custom_drift_stationary_reference_uses_the_default_step(monkeypatch):
                            T=1.0, n_bootstrap=4)
     run_transient(cfg)
     assert seen == [1500, 1500]
+
+
+def test_assignment_above_the_cap_is_refused_before_any_work(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("sampled or integrated before the capacity check")
+
+    monkeypatch.setattr(experiments, "integrate_ensemble", spy)
+    monkeypatch.setattr(experiments, "ou_stationary_sample", spy)
+    too_many = ASSIGNMENT_CAP + 1
+    with pytest.raises(CapacityError, match="sliced"):
+        run_transient(ExperimentConfig(experiment="transient", seed=1, alpha_grid=(1.9,),
+                                       n_samples=too_many, T=12.0,
+                                       estimator="assignment"))
+    with pytest.raises(CapacityError, match="sliced"):
+        run_alpha_sweep(ExperimentConfig(experiment="alpha_sweep", seed=1,
+                                         alpha_grid=(1.8, 1.9, 1.95),
+                                         n_samples=too_many, estimator="assignment"))
+    assert calls == []

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from stablegap import (
     ASSIGNMENT_CAP,
@@ -22,6 +24,7 @@ from stablegap import (
     W1Estimate,
     bootstrap_stderr,
     w1_assignment,
+    w1_estimate,
     w1_exact_1d,
     w1_mean_norm_lower,
     w1_sliced,
@@ -105,8 +108,25 @@ def test_exact_1d_shift_is_exact():
 
 
 def test_exact_1d_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length mismatch"):
         w1_exact_1d(np.zeros(3), np.zeros(4))
+    # its bootstrap refuses the same pair
+    with pytest.raises(ValueError, match="length mismatch"):
+        bootstrap_stderr(np.zeros(3), np.zeros(4), "exact_1d", n_resamples=4)
+
+
+def test_exact_1d_takes_clouds_and_refuses_higher_dimensions():
+    # a d = 2 pair is neither flattened into 2n scalars by the estimate nor
+    # cut to its first coordinate by the bootstrap: both refuse it
+    gen = RngStream(53).generator()
+    X, Y = gen.standard_normal((200, 2)), gen.standard_normal((200, 2)) + 0.5
+    a, b = X[:, :1], Y[:, :1]
+    as_clouds = w1_exact_1d(EmpiricalMeasure(points=a), EmpiricalMeasure(points=b))
+    assert as_clouds.value == w1_exact_1d(a[:, 0], b[:, 0]).value
+    with pytest.raises(ValueError, match="d = 1"):
+        w1_exact_1d(X, Y)
+    with pytest.raises(ValueError, match="d = 1"):
+        bootstrap_stderr(X, Y, "exact_1d", n_resamples=10, rng=RngStream(54))
 
 
 def test_lower_bounds_sit_below_exact_value():
@@ -250,6 +270,65 @@ def test_bootstrap_mean_norm_matches_cloud_loop():
         ref.append(w1_mean_norm_lower(EmpiricalMeasure(points=X[ix]),
                                       EmpiricalMeasure(points=Y[iy])).value)
     assert se == np.std(ref, ddof=1)
+
+
+def _plain_sliced(x, y, k, gen):
+    v = gen.standard_normal((k, x.shape[1]))
+    dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return max(np.abs(np.sort(x @ t) - np.sort(y @ t)).mean() for t in dirs)
+
+
+def _plain_assignment(x, y, k, gen):
+    cost = cdist(x, y)
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].mean()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("estimator, plain", [("sliced", _plain_sliced),
+                                              ("exact_assignment", _plain_assignment)])
+def test_bootstrap_general_loop_matches_plain_loop(estimator, plain, d):
+    # in d >= 2 each resample draws the X indices, then the Y indices, then
+    # (sliced only) the directions, all from the one bootstrap generator
+    n, R, k = 60, 25, 7
+    gen = RngStream(48).generator()
+    X, Y = gen.standard_normal((n, d)), 1.3 * gen.standard_normal((n, d)) + 0.2
+    se = bootstrap_stderr(X, Y, estimator, n_resamples=R, rng=RngStream(49),
+                          n_projections=k)
+    g2 = RngStream(49).generator()
+    ref = []
+    for _ in range(R):
+        ix = g2.integers(0, n, n)
+        iy = g2.integers(0, n, n)
+        ref.append(plain(X[ix], Y[iy], k, g2))
+    assert se == np.std(ref, ddof=1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("estimator, w1", [("sliced", w1_sliced),
+                                           ("exact_assignment", w1_assignment)])
+def test_bootstrap_subsamples_unequal_clouds_like_its_estimator(estimator, w1, d):
+    gen = RngStream(50).generator()
+    X, Y = gen.standard_normal((100, d)), gen.standard_normal((120, d)) + 0.3
+    with pytest.warns(UserWarning, match="unequal"):
+        est = w1(X, Y, rng=RngStream(51))
+    with pytest.warns(UserWarning, match="unequal"):
+        se = bootstrap_stderr(X, Y, estimator, n_resamples=20, rng=RngStream(52))
+    assert est.n_used == 100
+    assert se > 0 and math.isfinite(se)
+
+
+def test_w1_estimate_runs_the_estimator_of_each_tag():
+    gen = RngStream(57).generator()
+    X, Y = gen.standard_normal((90, 2)), gen.standard_normal((90, 2)) + 0.4
+    x, y = X[:, 0], Y[:, 0]
+    assert w1_estimate("exact_assignment", X, Y) == w1_assignment(X, Y)
+    assert w1_estimate("exact_1d", x, y) == w1_exact_1d(x, y)
+    assert w1_estimate("mean_norm_lower", X, Y) == w1_mean_norm_lower(X, Y)
+    assert (w1_estimate("sliced", X, Y, n_projections=5, rng=RngStream(58))
+            == w1_sliced(X, Y, n_projections=5, rng=RngStream(58)))
+    with pytest.raises(ValueError, match="unknown estimator"):
+        w1_estimate("nonsense", X, Y)
 
 
 def test_bootstrap_rejects_bad_args():
