@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import DRIFTS, ESTIMATORS, EXPERIMENTS, ExperimentConfig, _parse_grid, load_config
+from .config import (DRIFTS, ESTIMATORS, EXPERIMENTS, ExperimentConfig, _dimension,
+                     _parse_grid, load_config)
 from .errors import IntegrationError, InvariantError
 from .experiments import (
     run_alpha_sweep,
@@ -53,7 +54,7 @@ def _build_config(args) -> ExperimentConfig:
         "seed": args.seed,
         "output_path": args.out,
         "alpha_grid": _parse_grid(args.alpha, float) if args.alpha is not None else None,
-        "d_grid": _parse_grid(args.dim, int) if args.dim is not None else None,
+        "d_grid": _parse_grid(args.dim, _dimension) if args.dim is not None else None,
         "n_samples": args.samples,
         "n_steps": args.steps,
         "T": args.t_max,

@@ -13,14 +13,21 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
 
-EXPERIMENTS = (
-    "alpha_sweep",
-    "dim_sweep",
-    "transient",
-    "contraction",
-    "gradient_check",
-    "selftest",
-)
+# experiment -> the config fields its runner reads.  "name[0]": the runner
+# reads the grid's first value only, so the grid must hold one value unless
+# it is the default.  "name?": read under drift=custom only.  Every other
+# field (experiment, seed and output_path aside) must keep its default, so
+# no two config hashes differ by a value that nothing reads.
+EXPERIMENTS = {
+    "alpha_sweep": "alpha_grid d_grid[0] n_samples estimator n_bootstrap n_projections "
+                   "drift drift_param? burn_in?",
+    "dim_sweep": "alpha_grid[0] d_grid n_samples n_projections drift drift_param? burn_in?",
+    "transient": "alpha_grid[0] d_grid[0] n_samples n_steps T estimator n_bootstrap "
+                 "n_projections x_start drift drift_param? burn_in?",
+    "contraction": "alpha_grid[0] d_grid[0] n_samples n_steps T x_start drift drift_param?",
+    "gradient_check": "alpha_grid d_grid[0] n_samples n_steps drift drift_param?",
+    "selftest": "",
+}
 
 # --estimator name -> the wasserstein method tag it runs
 ESTIMATORS = {"assignment": "exact_assignment", "sliced": "sliced",
@@ -66,7 +73,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}"
             )
         if self.estimator not in ESTIMATORS:
             raise ValueError(
@@ -78,7 +85,7 @@ class ExperimentConfig:
             raise ValueError("seed is mandatory; wall-clock seeding is not supported")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
-        object.__setattr__(self, "d_grid", tuple(int(d) for d in self.d_grid))
+        object.__setattr__(self, "d_grid", tuple(_dimension(d) for d in self.d_grid))
         if not self.alpha_grid or not self.d_grid:
             raise ValueError("alpha_grid and d_grid must be nonempty")
         for a in self.alpha_grid:
@@ -99,6 +106,26 @@ class ExperimentConfig:
             raise ValueError("n_bootstrap must be >= 2")
         if self.n_projections < 1:
             raise ValueError("n_projections must be >= 1")
+        self._refuse_unread_fields()
+
+    def _refuse_unread_fields(self):
+        reads = EXPERIMENTS[self.experiment].split()
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name in ("experiment", "seed", "output_path") or value == f.default \
+                    or name in reads:
+                continue
+            if name + "?" in reads:
+                if self.drift != "custom":
+                    raise ValueError(f"{self.experiment} reads {name} only under "
+                                     f"drift=custom; got {name}={value!r}")
+            elif name + "[0]" in reads:
+                if len(value) != 1:
+                    raise ValueError(f"{self.experiment} reads the first value of {name} "
+                                     f"only; give one value, got {value}")
+            else:
+                raise ValueError(f"{self.experiment} does not read {name}; leave it at "
+                                 f"its default {f.default!r} (got {value!r})")
 
     def key_values(self) -> list:
         """Canonical serialization: sorted key=value lines.
@@ -119,6 +146,15 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         text = "\n".join(self.key_values())
         return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _dimension(v) -> int:
+    """A dimension as an int, refusing a non-integral value rather than
+    truncating it."""
+    d = float(v)
+    if not d.is_integer():
+        raise ValueError(f"dimensions must be integers, got {v}")
+    return int(d)
 
 
 def _parse_grid(text: str, cast):
@@ -149,7 +185,7 @@ _FIELD_PARSERS = {
     "drift": str,
     "drift_param": float,
     "alpha_grid": lambda s: _parse_grid(s, float),
-    "d_grid": lambda s: _parse_grid(s, int),
+    "d_grid": lambda s: _parse_grid(s, _dimension),
     "n_samples": int,
     "n_steps": int,
     "T": float,

@@ -7,6 +7,7 @@ are byte-identical across reruns of the same config.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 import os
@@ -145,24 +146,23 @@ def format_value(v) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows, config_hash: str) -> None:
-    """Fixed column order, 17 significant digits, config hash on every row."""
-    lines = [",".join(list(header) + ["config_hash"])]
-    for row in rows:
-        lines.append(",".join([format_value(v) for v in row] + [config_hash]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Fixed column order, 17 significant digits, config hash on every row;
+    a field holding a comma or a quote is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(list(header) + ["config_hash"])
+        out.writerows([format_value(v) for v in row] + [config_hash] for row in rows)
 
 
 def load_results(path: str):
     """Read a results CSV back; refuses files mixing several config hashes."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
+    with open(path, encoding="utf-8", newline="") as fh:
+        table = [r for r in csv.reader(fh) if r]
+    if not table:
         raise ValueError(f"{path}: empty results file")
-    header = lines[0].split(",")
+    header, rows = table[0], table[1:]
     if header[-1] != "config_hash":
         raise ValueError(f"{path}: missing config_hash column")
-    rows = [ln.split(",") for ln in lines[1:]]
     hashes = {r[-1] for r in rows}
     if len(hashes) > 1:
         raise ValueError(
@@ -632,8 +632,8 @@ def run_selftest(cfg: ExperimentConfig) -> SelfTestResult:
     record("subordinator_laplace", worst_z < 4.0, f"max |z| = {worst_z:.2f}")
 
     # negative control: a corrupted subordinator scale must trip the same check
-    s_bad = sample_subordinator_increment(
-        1.5, 1.0, derive_stream(seed, "st_negctl"), size=n, scale_fudge=1.15)
+    s_bad = 1.15 * sample_subordinator_increment(1.5, 1.0, derive_stream(seed, "st_negctl"),
+                                                 size=n)
     vals = np.exp(-0.5 * s_bad)
     target = math.exp(-0.5 * 1.0 ** 0.75)
     z_bad = abs(vals.mean() - target) / (vals.std(ddof=1) / math.sqrt(n))

@@ -79,7 +79,7 @@ def _kanter_onesided(beta: float, n: int, gen: np.random.Generator) -> np.ndarra
     return np.exp(((1.0 - beta) / beta) * (log_a - np.log(e)))
 
 
-def sample_subordinator_increment(alpha, dt, rng, size=None, scale_fudge=1.0):
+def sample_subordinator_increment(alpha, dt, rng, size=None):
     """Draws of S_dt with E exp(-r S_dt) = exp(-dt (2r)^(alpha/2) / 2).
 
     Matching Laplace transforms forces the scale c in S = c T (T standard
@@ -90,9 +90,6 @@ def sample_subordinator_increment(alpha, dt, rng, size=None, scale_fudge=1.0):
     size=None returns a scalar, otherwise an array of that length.  A scalar
     call consumes the stream exactly like size=1; calls with different sizes
     consume it differently (the variates are drawn in blocks).
-    scale_fudge multiplies the derived scale and exists purely as a fault
-    injection point so self-tests can verify the Laplace check catches a
-    corrupted sampler; leave it at 1.0.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -102,21 +99,9 @@ def sample_subordinator_increment(alpha, dt, rng, size=None, scale_fudge=1.0):
     if alpha == 2.0:
         out = np.full(n, float(dt))
     else:
-        c = 2.0 * (dt / 2.0) ** (2.0 / alpha) * scale_fudge
+        c = 2.0 * (dt / 2.0) ** (2.0 / alpha)
         out = c * _kanter_onesided(0.5 * alpha, n, as_generator(rng))
     return float(out[0]) if size is None else out
-
-
-def sample_gaussian_increment(d, dt, rng, size=None):
-    """Brownian increments over a step dt: i.i.d. N(0, dt) components.
-
-    dt = 0 is allowed and returns zeros.  Shape: (d,) or (size, d).
-    """
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    n = 1 if size is None else int(size)
-    g = as_generator(rng).standard_normal((n, d)) * np.sqrt(dt)
-    return g[0] if size is None else g
 
 
 def sample_stable_increment(model: StableModel, dt, rng, size=None):

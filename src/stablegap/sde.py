@@ -1,5 +1,5 @@
-"""Euler integration of the two SDEs, synchronous coupling, first-variation
-flows, and long-time (ergodic) sampling.
+"""Euler integration of ensembles of the two SDEs, synchronous coupling,
+and long-time (ergodic) sampling.
 
     dX_t = b(X_t) dt + sigma dL_t      (stable noise)
     dY_t = b(Y_t) dt + sigma dB_t      (Brownian noise)
@@ -12,7 +12,7 @@ self-consistency where no closed form exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class DriftSpec:
     theta0: float
     K: float
     theta1: float
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in ("ornstein_uhlenbeck", "custom"):
@@ -88,7 +87,6 @@ class DriftSpec:
             theta0=1.0,
             K=0.0,
             theta1=1.0,
-            jacobian=lambda x: -np.eye(d),
         )
 
     @classmethod
@@ -108,45 +106,7 @@ class DriftSpec:
             theta0=1.0 - c,
             K=0.0,
             theta1=1.0 + c,
-            jacobian=lambda x: np.diag(-1.0 + c / np.cosh(x) ** 2),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class SdePath:
-    """One discretized trajectory on a uniform time grid starting at 0."""
-
-    times: np.ndarray
-    states: np.ndarray
-    noise: str  # "stable" or "brownian"
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class VariationalPath:
-    """The first-variation flow grad_v X_t integrated along a frozen path."""
-
-    base: SdePath
-    direction: np.ndarray
-    flow: np.ndarray  # same length as base.times, flow[0] = direction
-
-
-def _check_inputs(T, n_steps):
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-
-
-def _noise(model: StableModel) -> str:
-    return "brownian" if model.is_brownian else "stable"
 
 
 def _euler(model, drift, Z, h, n_steps, gen, record_steps, out):
@@ -176,43 +136,21 @@ def _euler(model, drift, Z, h, n_steps, gen, record_steps, out):
             i += 1
 
 
-def _integrate_stack(model, drift, Z, T, n_steps, rng, record_times=None):
+def _integrate_stack(model, drift, Z, T, n_steps, rng, record_times):
     """Run the (k, n, d) stack Z over [0, T] in n_steps Euler steps.
 
     Snapshots are taken at the grid steps nearest record_times, in step
-    order (every step when record_times is None).  Returns (snapshot
-    times, array of shape (n_snapshots, k, n, d)).
+    order.  Returns (snapshot times, array of shape (n_snapshots, k, n, d)).
     """
-    _check_inputs(T, n_steps)
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     h = T / n_steps
-    if record_times is None:
-        steps = range(n_steps + 1)
-    else:
-        steps = sorted(min(n_steps, max(0, round(t / h))) for t in record_times)
+    steps = sorted(min(n_steps, max(0, round(t / h))) for t in record_times)
     out = np.empty((len(steps),) + Z.shape)
     _euler(model, drift, Z, h, n_steps, as_generator(rng), steps, out)
     return [k * h for k in steps], out
-
-
-def integrate(model: StableModel, drift: DriftSpec, x0, T, n_steps, rng) -> SdePath:
-    """Euler path x_{k+1} = x_k + b(x_k) h + increment_k, h = T/n_steps."""
-    x = np.asarray(x0, dtype=float).reshape(1, 1, model.d)
-    _, states = _integrate_stack(model, drift, x, T, n_steps, rng)
-    return SdePath(times=np.linspace(0.0, T, n_steps + 1), states=states[:, 0, 0],
-                   noise=_noise(model))
-
-
-def integrate_coupled(model, drift, x0, y0, T, n_steps, rng):
-    """Two paths driven by the same increment sequence (synchronous coupling).
-
-    The noise cancels in the difference, so for the linear drift the gap
-    contracts deterministically: |X_k - Y_k| = |x0-y0| (1-h)^k.
-    """
-    xy = np.array([np.asarray(z, dtype=float).reshape(model.d) for z in (x0, y0)])
-    _, states = _integrate_stack(model, drift, xy[:, None], T, n_steps, rng)
-    times = np.linspace(0.0, T, n_steps + 1)
-    return (SdePath(times=times, states=states[:, 0, 0], noise=_noise(model)),
-            SdePath(times=times, states=states[:, 1, 0], noise=_noise(model)))
 
 
 def integrate_ensemble(model, drift, X0, T, n_steps, rng, record_times=None):
@@ -244,22 +182,6 @@ def integrate_coupled_ensemble(model, drift, X0, Y0, T, n_steps, rng,
     times, snaps = _integrate_stack(model, drift, np.stack([X, Y]), T, n_steps, rng,
                                     [T] if record_times is None else record_times)
     return times, [(s[0], s[1]) for s in snaps]
-
-
-def variational_flow(path: SdePath, drift: DriftSpec, v) -> VariationalPath:
-    """Euler integration of d/dt grad_v X_t = (grad b)(X_t) grad_v X_t along
-    the frozen path, started from v."""
-    if drift.jacobian is None:
-        raise ValueError("variational_flow requires a drift with a jacobian")
-    v = np.asarray(v, dtype=float).reshape(-1)
-    times = path.times
-    flow = np.empty((len(times), len(v)))
-    flow[0] = v
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        J = drift.jacobian(path.states[k])
-        flow[k + 1] = flow[k] + h * (J @ flow[k])
-    return VariationalPath(base=path, direction=v, flow=flow)
 
 
 def ergodic_sample(model, drift, burn_in_T, n_samples, thinning_T,

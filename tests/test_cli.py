@@ -74,11 +74,23 @@ def test_zero_kanter_uniform_is_invariant_failure(monkeypatch, capsys):
 
 def test_config_file_with_flag_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 3\nn_samples = 16\nalpha_grid = 1.8,1.9\nT = 0.5\n")
+    cfg.write_text("seed = 3\nn_samples = 16\nalpha_grid = 1.8\nT = 0.5\n")
     assert main(["contraction", "--config", str(cfg), "--seed", "4"]) == 0
     expected = ExperimentConfig(experiment="contraction", seed=4,
-                                alpha_grid=(1.8, 1.9), n_samples=16, T=0.5)
+                                alpha_grid=(1.8,), n_samples=16, T=0.5)
     assert expected.config_hash() in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["contraction", "--estimator", "assignment"], "contraction does not read estimator"),
+    (["gradient-check", "--t-max", "2"], "gradient_check does not read T"),
+    (["dim-sweep", "--alpha", "1.9", "--dim", "1:4:3"], "dimensions must be integers"),
+])
+def test_unread_or_truncated_inputs_are_argument_errors(argv, match, capsys):
+    # the same gaps under another config hash, or d = 2.5 run as d = 2,
+    # would be a silent change of what the run claims to compute
+    assert main(argv + ["--seed", "1", "--samples", "4"]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_out_csv_carries_config_hash(tmp_path, capsys):

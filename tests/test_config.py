@@ -26,24 +26,71 @@ def test_defaults_and_coercion():
     assert base().alpha_grid == DEFAULT_ALPHA_GRID
 
 
-@pytest.mark.parametrize("kw", [
-    {"experiment": "nope"},
-    {"estimator": "exact"},
-    {"drift": "linear"},
-    {"alpha_grid": ()},
-    {"alpha_grid": (2.1,)},
-    {"alpha_grid": (1.0,)},
-    {"d_grid": (0,)},
-    {"n_samples": 0},
-    {"n_steps": -3},
-    {"T": 0.0},
-    {"burn_in": -1.0},
-    {"n_bootstrap": 1},
-    {"n_projections": 0},
-])
-def test_validation_rejects(kw):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("kw, match", [
+    ({"experiment": "nope"}, "unknown experiment"),
+    ({"estimator": "exact"}, "unknown estimator"),
+    ({"drift": "linear"}, "unknown drift"),
+    ({"alpha_grid": ()}, "nonempty"),
+    ({"alpha_grid": (2.1,)}, r"alpha values must lie in \(1,2\]"),
+    ({"alpha_grid": (1.0,)}, r"alpha values must lie in \(1,2\]"),
+    ({"d_grid": (0,)}, "dimensions must be >= 1"),
+    ({"n_samples": 0}, "n_samples must be >= 1"),
+    ({"experiment": "contraction", "n_steps": -3}, "n_steps must be >= 1"),
+    ({"experiment": "contraction", "T": 0.0}, "T must be positive"),
+    ({"drift": "custom", "burn_in": -1.0}, "burn_in must be positive"),
+    ({"n_bootstrap": 1}, "n_bootstrap must be >= 2"),
+    ({"n_projections": 0}, "n_projections must be >= 1"),
+], ids=[f"kw{i}" for i in range(13)])
+def test_validation_rejects(kw, match):
+    with pytest.raises(ValueError, match=match):
         base(**kw)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"experiment": "contraction", "estimator": "assignment"},
+     "contraction does not read estimator"),
+    ({"experiment": "gradient_check", "T": 2.0}, "gradient_check does not read T"),
+    ({"experiment": "dim_sweep", "n_bootstrap": 2}, "dim_sweep does not read n_bootstrap"),
+    ({"experiment": "selftest", "n_samples": 64}, "selftest does not read n_samples"),
+    ({"experiment": "selftest", "drift": "custom"}, "selftest does not read drift"),
+    ({"experiment": "transient", "burn_in": 5.0}, "burn_in only under drift=custom"),
+    ({"experiment": "contraction", "drift": "custom", "burn_in": 5.0},
+     "contraction does not read burn_in"),
+    ({"drift_param": 0.3}, "drift_param only under drift=custom"),
+    ({"d_grid": (1, 2)}, "first value of d_grid only"),
+    ({"experiment": "contraction", "alpha_grid": (1.8, 1.9)},
+     "first value of alpha_grid only"),
+    ({"experiment": "dim_sweep", "alpha_grid": (1.8, 1.9), "d_grid": (1, 2, 3)},
+     "first value of alpha_grid only"),
+])
+def test_fields_the_experiment_never_reads_are_refused(kw, match):
+    # a value nothing reads would change the config hash and nothing else
+    with pytest.raises(ValueError, match=match):
+        base(**kw)
+
+
+def test_fields_read_or_left_at_default_are_accepted():
+    # the default value of an unread field is accepted and keeps the hash
+    assert (base(experiment="contraction", estimator="sliced").config_hash()
+            == base(experiment="contraction").config_hash())
+    base(experiment="selftest", alpha_grid=DEFAULT_ALPHA_GRID, d_grid=(1,))
+    base(experiment="transient", drift="custom", drift_param=0.3, burn_in=5.0,
+         alpha_grid=(1.9,), d_grid=(2,), n_steps=10, T=1.0, x_start=3.0,
+         estimator="mean-norm", n_bootstrap=4, n_projections=8, n_samples=64)
+    base(experiment="dim_sweep", drift="custom", burn_in=5.0, alpha_grid=(1.9,),
+         d_grid=(1, 2, 3), n_projections=8)
+    base(experiment="gradient_check", drift="custom", drift_param=0.2,
+         alpha_grid=(1.5, 1.8), n_steps=100)
+
+
+def test_dimensions_must_be_integers():
+    assert base(experiment="dim_sweep", alpha_grid=(1.9,), d_grid=[1, 2.0, "3"]).d_grid == \
+        (1, 2, 3)
+    with pytest.raises(ValueError, match="dimensions must be integers, got 2.7"):
+        base(d_grid=[2.7])
+    assert parse_config_text("d_grid = 1:5:3\n")["d_grid"] == (1, 3, 5)
+    with pytest.raises(ValueError, match="dimensions must be integers, got 2.5"):
+        parse_config_text("d_grid = 1:4:3\n")
 
 
 def test_seed_is_mandatory():
@@ -59,7 +106,7 @@ def test_parse_config_text():
     experiment = alpha_sweep
     seed=3          # trailing comment
     alpha_grid = 1.8,1.9,1.95
-    d_grid = 1:5:3
+    d_grid = 2
     n_samples = 4096
     estimator = assignment
     """
@@ -67,7 +114,7 @@ def test_parse_config_text():
     assert data["experiment"] == "alpha_sweep"
     assert data["seed"] == 3
     assert data["alpha_grid"] == (1.8, 1.9, 1.95)
-    assert data["d_grid"] == (1, 3, 5)
+    assert data["d_grid"] == (2,)
     cfg = ExperimentConfig(**data)
     assert cfg.n_samples == 4096 and cfg.estimator == "assignment"
 

@@ -123,6 +123,19 @@ def test_load_results_rejects_bad_files(tmp_path):
         load_results(str(p))
 
 
+def test_csv_fields_with_commas_round_trip(tmp_path):
+    # selftest details such as "rate ratio in [0.354, 0.803]" hold commas
+    p = tmp_path / "r.csv"
+    rows = [("ou_lower_bound_paths", True, "rate ratio in [0.354, 0.803]"),
+            ("quoted", False, 'say "hi"'), ("empty", True, "")]
+    write_csv(str(p), ["check", "passed", "detail"], rows, "abc")
+    header, back = load_results(str(p))
+    assert header == ["check", "passed", "detail", "config_hash"]
+    assert back == [[name, format_value(ok), detail, "abc"] for name, ok, detail in rows]
+    assert p.read_text().splitlines()[1] == \
+        'ou_lower_bound_paths,1,"rate ratio in [0.354, 0.803]",abc'
+
+
 def test_alpha_sweep_needs_three_points():
     cfg = ExperimentConfig(experiment="alpha_sweep", seed=0, alpha_grid=(1.9,),
                            n_samples=64, n_bootstrap=2)
@@ -159,7 +172,7 @@ def test_alpha_sweep_alpha_two_row_is_pure_floor():
 
 def test_dim_sweep_rows_and_note():
     cfg = ExperimentConfig(experiment="dim_sweep", seed=5, alpha_grid=(1.9,),
-                           d_grid=(1, 2, 3), n_samples=16384, n_bootstrap=2)
+                           d_grid=(1, 2, 3), n_samples=16384)
     res = run_dim_sweep(cfg)
     for i, d in enumerate(res.dims):
         assert res.lower_exact[i] == ou_w1_lower_exact(int(d), 1.9)
@@ -192,7 +205,7 @@ def test_dim_sweep_d1_row_reproduces_alpha_sweep_point():
     # and the mean-norm estimates are deterministic given the clouds
     n = 16384
     dim_cfg = ExperimentConfig(experiment="dim_sweep", seed=5, alpha_grid=(1.9,),
-                               d_grid=(1, 2, 3), n_samples=n, n_bootstrap=2)
+                               d_grid=(1, 2, 3), n_samples=n)
     dim = run_dim_sweep(dim_cfg)
     sweep_sliced = run_alpha_sweep(ExperimentConfig(
         experiment="alpha_sweep", seed=5, alpha_grid=(1.9, 1.93, 1.96),
@@ -249,6 +262,20 @@ def test_gradient_check_bounded_by_gaussian_reference():
     assert abs(res.grad[1, -1]) == pytest.approx(math.exp(-1.0), abs=0.05)
     assert res.max_ratio_vs_gaussian <= 1.05
     assert np.all(np.abs(res.grad_norm) <= 1.5)
+
+
+def test_gradient_check_pinned_by_the_euler_contraction():
+    # OU: the coupled pair starts eps apart and stays eps (1-h)^k apart after
+    # k steps.  At alpha = 2 no path reaches the clip, so that row equals
+    # (1-h)^k; the clips are monotone and 1-Lipschitz, so they can only lower
+    # the other rows, and the clipped norm moves by at most the gap
+    res = run_gradient_check(ExperimentConfig(experiment="gradient_check", seed=8,
+                                              alpha_grid=(1.5, 1.8), n_samples=4096))
+    h = 1e-3
+    exact = (1.0 - h) ** np.round(res.times / h)
+    assert np.all(np.abs(res.grad[-1] - exact) <= 1e-9)
+    assert np.all(res.grad[:-1] <= exact + 1e-9)
+    assert np.all(res.grad_norm <= exact + 1e-9)
 
 
 def test_results_identical_across_worker_counts(monkeypatch):

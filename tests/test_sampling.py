@@ -21,7 +21,6 @@ from stablegap import (
     RngStream,
     StableModel,
     empirical_char_function,
-    sample_gaussian_increment,
     sample_stable_increment,
     sample_subordinator_increment,
 )
@@ -101,10 +100,9 @@ def test_subordinator_determinism():
 
 
 def test_corrupted_scale_breaks_laplace_transform():
-    # fault-injection hook: a 15% scale error must blow the z gate by a wide
-    # margin, proving the Laplace check has statistical teeth at this n
-    s = sample_subordinator_increment(1.5, 1.0, RngStream(108), size=N,
-                                      scale_fudge=1.15)
+    # a 15% scale error must blow the z gate by a wide margin, proving the
+    # Laplace check has statistical teeth at this n
+    s = 1.15 * sample_subordinator_increment(1.5, 1.0, RngStream(108), size=N)
     target = math.exp(-0.5 * 2.0 ** 0.75)
     assert z_score(np.exp(-s), target) > 8.0
 
@@ -117,13 +115,13 @@ def test_subordinator_rejects_bad_inputs():
 
 
 def test_gaussian_increment_moments_and_zero_dt():
-    g = sample_gaussian_increment(3, 0.25, RngStream(109), size=N)
+    g = sample_stable_increment(StableModel(d=3, alpha=2.0), 0.25, RngStream(109), size=N)
     assert g.shape == (N, 3)
     assert z_score(g[:, 0], 0.0) < 4.0
     assert z_score(g[:, 1] ** 2, 0.25) < 4.0
-    z = sample_gaussian_increment(2, 0.0, RngStream(110), size=5)
-    assert np.all(z == 0.0)
-    single = sample_gaussian_increment(2, 1.0, RngStream(111))
+    with pytest.raises(ValueError, match="dt must be positive"):
+        sample_stable_increment(StableModel(d=2, alpha=2.0), 0.0, RngStream(110), size=5)
+    single = sample_stable_increment(StableModel(d=2, alpha=2.0), 1.0, RngStream(111))
     assert single.shape == (2,)
 
 
@@ -167,7 +165,7 @@ def test_stable_increment_sigma_rescales_frequency():
 def test_stable_increment_brownian_case_matches_gaussian_sampler():
     model = StableModel(d=2, alpha=2.0)
     a = sample_stable_increment(model, 0.5, RngStream(116), size=100)
-    b = sample_gaussian_increment(2, 0.5, RngStream(116), size=100)
+    b = np.sqrt(0.5) * RngStream(116).generator().standard_normal((100, 2))
     assert np.array_equal(a, b)
 
 

@@ -2,9 +2,8 @@
 
 For the linear drift the Euler chain is exactly solvable: means contract by
 (1-h) per step and the variance obeys a geometric recursion, so the ensemble
-statistics have machine-checkable targets up to Monte Carlo error.  Coupling
-and first-variation flows are deterministic identities and are checked to
-float precision.
+statistics have machine-checkable targets up to Monte Carlo error.  The
+coupled gap is a deterministic identity and is checked to float precision.
 """
 import math
 
@@ -18,13 +17,10 @@ from stablegap import (
     RngStream,
     StableModel,
     ergodic_sample,
-    integrate,
-    integrate_coupled,
     integrate_coupled_ensemble,
     integrate_ensemble,
     ou_transient_char,
     sample_subordinator_increment,
-    variational_flow,
 )
 from conftest import z_score
 
@@ -82,16 +78,20 @@ def test_tanh_drift_constants_and_construction():
 def test_integrate_shapes_and_times():
     model = StableModel(d=2, alpha=1.8)
     drift = DriftSpec.ornstein_uhlenbeck(2)
-    path = integrate(model, drift, [1.0, -1.0], 1.0, 100, RngStream(1))
-    assert path.states.shape == (101, 2)
-    assert path.n_steps == 100
-    assert np.array_equal(path.endpoint, path.states[-1])
-    assert path.times[0] == 0.0 and path.times[-1] == 1.0
-    assert path.noise == "stable"
-    with pytest.raises(ValueError):
-        integrate(model, drift, [0.0, 0.0], 0.0, 10, RngStream(1))
-    with pytest.raises(ValueError):
-        integrate(model, drift, [0.0, 0.0], 1.0, 0, RngStream(1))
+    X0 = np.array([[1.0, -1.0]])
+    times, snaps = integrate_ensemble(model, drift, X0, 1.0, 100, RngStream(1))
+    assert times == [1.0] and len(snaps) == 1 and snaps[0].shape == (1, 2)
+    every = np.linspace(0.0, 1.0, 101)
+    times, snaps = integrate_ensemble(model, drift, X0, 1.0, 100, RngStream(1),
+                                      record_times=every)
+    assert np.allclose(times, every) and times[0] == 0.0 and times[-1] == 1.0
+    assert len(snaps) == 101 and np.array_equal(snaps[0], X0)
+    for integrator in (integrate_ensemble, integrate_coupled_ensemble):
+        starts = (X0,) * (1 if integrator is integrate_ensemble else 2)
+        with pytest.raises(ValueError, match="T must be positive"):
+            integrator(model, drift, *starts, 0.0, 10, RngStream(1))
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            integrator(model, drift, *starts, 1.0, 0, RngStream(1))
 
 
 def test_brownian_ensemble_matches_discrete_recursion():
@@ -131,22 +131,12 @@ def test_coupled_gap_contracts_deterministically():
     x0, y0 = np.array([2.0, 0.0, -1.0]), np.zeros(3)
     T, steps = 2.0, 400
     h = T / steps
-    px, py = integrate_coupled(model, drift, x0, y0, T, steps, RngStream(4))
-    gaps = np.linalg.norm(px.states - py.states, axis=1)
+    _, pairs = integrate_coupled_ensemble(model, drift, x0[None], y0[None], T, steps,
+                                          RngStream(4),
+                                          record_times=np.linspace(0.0, T, steps + 1))
+    gaps = np.array([np.linalg.norm(px[0] - py[0]) for px, py in pairs])
     expect = np.linalg.norm(x0) * (1.0 - h) ** np.arange(steps + 1)
     assert np.allclose(gaps, expect, rtol=1e-10)
-
-
-def test_coupled_ensemble_consistent_with_single_coupling():
-    model = StableModel(d=2, alpha=1.8)
-    drift = DriftSpec.ornstein_uhlenbeck(2)
-    x0, y0 = np.array([1.0, 1.0]), np.array([-1.0, 0.0])
-    px, py = integrate_coupled(model, drift, x0, y0, 1.0, 50, RngStream(5))
-    _, snaps = integrate_coupled_ensemble(model, drift, x0[None, :], y0[None, :],
-                                          1.0, 50, RngStream(5))
-    X_end, Y_end = snaps[-1]
-    assert np.array_equal(X_end[0], px.endpoint)
-    assert np.array_equal(Y_end[0], py.endpoint)
 
 
 def test_ensemble_record_times_rounding_and_t0():
@@ -160,26 +150,16 @@ def test_ensemble_record_times_rounding_and_t0():
     assert np.all(snaps[0] == 0.0)
 
 
-def test_single_path_agrees_with_ensemble_of_one():
-    model = StableModel(d=2, alpha=1.5)
-    drift = DriftSpec.ornstein_uhlenbeck(2)
-    path = integrate(model, drift, [1.0, 2.0], 0.5, 40, RngStream(7))
-    _, snaps = integrate_ensemble(model, drift, np.array([[1.0, 2.0]]), 0.5, 40,
-                                  RngStream(7))
-    assert np.array_equal(snaps[-1][0], path.endpoint)
-
-
 def test_overflow_raises_with_step_index():
     model = StableModel(d=1, alpha=2.0)
     drift = DriftSpec.ornstein_uhlenbeck(1)
     with pytest.raises(IntegrationError) as exc:
-        integrate(model, drift, [5e12], 1.0, 10, RngStream(8))
-    assert exc.value.step == 1
-    with pytest.raises(IntegrationError):
         integrate_ensemble(model, drift, np.full((3, 1), 5e12), 1.0, 10, RngStream(8))
-    with pytest.raises(IntegrationError):
+    assert exc.value.step == 1
+    with pytest.raises(IntegrationError) as exc:
         integrate_coupled_ensemble(model, drift, np.full((3, 1), 5e12),
                                    np.zeros((3, 1)), 1.0, 10, RngStream(8))
+    assert exc.value.step == 1
     # the step index counts from the start of the run, burn-in included
     # (5 burn-in steps here, and every chain survives them)
     wild = StableModel(d=1, alpha=1.5, sigma=1e11 * np.eye(1))
@@ -217,52 +197,10 @@ def test_all_integrators_match_reference_loop(tanh, alpha, d):
     for (sx, sy), k in zip(pairs, steps):
         assert np.array_equal(sx, ref_x[k]) and np.array_equal(sy, ref_y[k])
 
-    path = integrate(model, drift, X0[0], T, n_steps, gen())
-    assert np.array_equal(path.states, reference_euler(
-        model, drift, X0[:1], h, n_steps, gen())[:, 0])
-    px, py = integrate_coupled(model, drift, X0[0], Y0[0], T, n_steps, gen())
-    assert np.array_equal(px.states, path.states)
-    assert np.array_equal(py.states, reference_euler(
-        model, drift, Y0[:1], h, n_steps, gen())[:, 0])
-
     # 5 burn-in steps, then one state per chain every 3 steps, 3 rounds
     m = ergodic_sample(model, drift, 0.05, 10, 0.03, 100, gen(), n_chains=4)
     ref = reference_euler(model, drift, np.zeros((4, d)), 0.01, 14, gen())
     assert np.array_equal(m.points, ref[[8, 11, 14]].reshape(-1, d)[:10])
-
-
-def test_variational_flow_linear_drift_exact():
-    model = StableModel(d=2, alpha=1.9)
-    drift = DriftSpec.ornstein_uhlenbeck(2)
-    path = integrate(model, drift, [0.5, -0.5], 1.0, 100, RngStream(9))
-    v = np.array([1.0, 2.0])
-    flow = variational_flow(path, drift, v).flow
-    h = 0.01
-    expect = np.outer((1.0 - h) ** np.arange(101), v)
-    assert np.allclose(flow, expect, rtol=1e-12)
-
-
-def test_variational_flow_matches_finite_difference():
-    # the flow is the exact derivative of the discrete Euler map along the
-    # base path, so a same-noise finite difference converges to it in eps
-    model = StableModel(d=1, alpha=1.7)
-    drift = DriftSpec.dissipative_tanh(1, 0.5)
-    eps = 1e-6
-    x0 = np.array([0.8])
-    base, bumped = integrate_coupled(model, drift, x0, x0 + eps, 1.0, 200,
-                                     RngStream(10))
-    flow = variational_flow(base, drift, [1.0]).flow
-    fd = (bumped.states - base.states) / eps
-    assert np.allclose(fd, flow, atol=5e-4)
-
-
-def test_variational_flow_requires_jacobian():
-    model = StableModel(d=1, alpha=1.7)
-    nojac = DriftSpec(kind="custom", d=1, eval=lambda x: -x, theta0=1.0, K=0.0,
-                      theta1=1.0)
-    path = integrate(model, nojac, [0.0], 1.0, 10, RngStream(11))
-    with pytest.raises(ValueError):
-        variational_flow(path, nojac, [1.0])
 
 
 def test_ergodic_sample_brownian_stationary_moments():
