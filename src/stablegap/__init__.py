@@ -24,10 +24,9 @@ from .experiments import (
     write_csv,
 )
 from .ou import (
-    OuStationaryLaw,
+    OuLaw,
     gammalower_check,
     ou_stationary_sample,
-    ou_transient_char,
     ou_w1_lower_exact,
 )
 from .rng import RngStream, as_generator
@@ -45,7 +44,6 @@ from .sde import (
 )
 from .specfun import (
     crate_bound_fit,
-    gaussian_mean_norm,
     log_gamma,
     mean_norm_prefactor,
     phi,
@@ -79,7 +77,7 @@ __all__ = [
     "ExperimentConfig",
     "IntegrationError",
     "InvariantError",
-    "OuStationaryLaw",
+    "OuLaw",
     "RateFit",
     "RngStream",
     "StableModel",
@@ -92,7 +90,6 @@ __all__ = [
     "ergodic_sample",
     "fit_rate",
     "gammalower_check",
-    "gaussian_mean_norm",
     "integrate_coupled_ensemble",
     "integrate_ensemble",
     "load_config",
@@ -100,7 +97,6 @@ __all__ = [
     "log_gamma",
     "mean_norm_prefactor",
     "ou_stationary_sample",
-    "ou_transient_char",
     "ou_w1_lower_exact",
     "parallel_map",
     "parse_config_text",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_SWEEP_SAMPLES, ESTIMATORS, ExperimentConfig
 from .errors import CapacityError, InvariantError
-from .ou import OuStationaryLaw, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
+from .ou import OuLaw, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
 from .rng import RngStream
 from .sampling import StableModel, sample_subordinator_increment
 from .sde import DriftSpec, ergodic_sample, integrate_coupled_ensemble, integrate_ensemble
@@ -155,14 +155,19 @@ def write_csv(path: str, header: Sequence[str], rows, config_hash: str) -> None:
 
 
 def load_results(path: str):
-    """Read a results CSV back; refuses files mixing several config hashes."""
+    """Read a results CSV back; refuses ragged rows and mixed config hashes."""
     with open(path, encoding="utf-8", newline="") as fh:
-        table = [r for r in csv.reader(fh) if r]
+        reader = csv.reader(fh)
+        table = [(reader.line_num, r) for r in reader if r]
     if not table:
         raise ValueError(f"{path}: empty results file")
-    header, rows = table[0], table[1:]
+    (_, header), rows = table[0], table[1:]
     if header[-1] != "config_hash":
         raise ValueError(f"{path}: missing config_hash column")
+    for line, r in rows:
+        if len(r) != len(header):
+            raise ValueError(f"{path}: line {line} has {len(r)} fields, the header {len(header)}")
+    rows = [r for _, r in rows]
     hashes = {r[-1] for r in rows}
     if len(hashes) > 1:
         raise ValueError(
@@ -231,8 +236,8 @@ def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
     s_stable = derive_stream(cfg.seed, "stationary", "stable", d, alpha, n)
     s_gauss = derive_stream(cfg.seed, "stationary", "gauss", d, alpha, n)
     if cfg.drift == "ou":
-        X = ou_stationary_sample(OuStationaryLaw(d=d, kind="stable", alpha=alpha), n, s_stable)
-        Y = ou_stationary_sample(OuStationaryLaw(d=d, kind="gaussian"), n, s_gauss)
+        X = ou_stationary_sample(OuLaw(d, alpha), n, s_stable)
+        Y = ou_stationary_sample(OuLaw(d, 2.0), n, s_gauss)
         return X, Y
     drift = _drift(cfg, d)
     burn = cfg.burn_in if cfg.burn_in is not None else 10.0 / drift.theta0

@@ -1,10 +1,9 @@
 """Exact results for the linear drift b(x) = -x.
 
-Both SDEs then solve in closed form: the stationary law of the stable-driven
-equation is the law of alpha^(-1/alpha) L_1 and the Brownian one is
-N(0, I/2), i.e. the law of 2^(-1/2) B_1.  That makes this model the one place
-where the W1 gap has exact handles: a closed-form lower bound with the
-(2-alpha) rate, and the transient characteristic function at every t.
+Both SDEs then solve in closed form: `OuLaw` is their law at every time,
+alpha = 2 being the Brownian equation.  That makes this model the one place
+where the W1 gap has exact handles: exact draws and the characteristic
+function at every t, and a closed-form lower bound with the (2-alpha) rate.
 """
 from __future__ import annotations
 
@@ -15,75 +14,71 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .rng import as_generator
 from .sampling import StableModel, sample_stable_increment
 from .specfun import log_gamma, mean_norm_prefactor, phi
 from .wasserstein import EmpiricalMeasure
 
 
-@dataclass(frozen=True)
-class OuStationaryLaw:
-    """Stationary law of the OU equation under one of the two noises.
+@dataclass(frozen=True, eq=False)
+class OuLaw:
+    """Law at time t of the OU solution started at x0 (None: the origin):
 
-    kind "stable" freezes the law of alpha^(-1/alpha) L_1 (needs alpha);
-    kind "gaussian" freezes N(0, I/2), the law of 2^(-1/2) B_1.
+        X_t = e^(-t) x0 + s(t) L_1,    s(t)^alpha = (1 - e^(-alpha t)) / alpha,
+
+    with L the rotationally symmetric alpha-stable process of characteristic
+    function exp(-t |xi|^alpha / 2).  alpha = 2 is the Brownian equation
+    (stationary law N(0, I/2)); t = inf, the default, is the stationary law.
     """
 
     d: int
-    kind: str
-    alpha: Optional[float] = None
+    alpha: float
+    t: float = math.inf
+    x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.d < 1:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
-        if self.kind == "stable":
-            if self.alpha is None or not 0.0 < self.alpha <= 2.0:
-                raise DomainError("stable stationary law needs alpha in (0,2]")
-        elif self.kind == "gaussian":
-            if self.alpha is not None:
-                raise DomainError("gaussian stationary law takes no alpha")
-        else:
-            raise DomainError(f"unknown kind {self.kind!r}")
+        if not 0.0 < self.alpha <= 2.0:
+            raise DomainError(f"alpha must lie in (0,2], got {self.alpha}")
+        if not self.t >= 0:
+            raise DomainError(f"t must be nonnegative, got {self.t}")
+        x0 = np.zeros(self.d) if self.x0 is None else np.asarray(self.x0, dtype=float)
+        if x0.shape != (self.d,) or not np.isfinite(x0).all():
+            raise DomainError(f"x0 must be a finite vector of {self.d} entries")
+        object.__setattr__(self, "x0", x0)
 
     @property
     def scale(self) -> float:
-        if self.kind == "gaussian":
-            return 2.0 ** -0.5
-        return self.alpha ** (-1.0 / self.alpha)
+        """s(t); the expm1 form keeps s(inf) = alpha^(-1/alpha) exact."""
+        return self.alpha ** (-1.0 / self.alpha) \
+            * (-math.expm1(-self.alpha * self.t)) ** (1.0 / self.alpha)
+
+    def char(self, xi):
+        """Characteristic function of the law at frequency xi:
+
+            E exp(i<xi, X_t>) = exp(i<xi, e^(-t) x0>) exp(-(1-e^(-alpha t)) |xi|^alpha / (2 alpha))
+
+        Returns (re, im).
+        """
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        norm_xi = float(np.linalg.norm(xi))
+        # -expm1(-alpha t) = 1 - e^(-alpha t), accurate for small t
+        damp = math.exp(-(-math.expm1(-self.alpha * self.t)) * norm_xi ** self.alpha
+                        / (2.0 * self.alpha))
+        phase = float(xi @ self.x0) * math.exp(-self.t)
+        return damp * math.cos(phase), damp * math.sin(phase)
 
 
-def ou_stationary_sample(law: OuStationaryLaw, n: int, rng) -> EmpiricalMeasure:
-    """n exact iid draws from the stationary law (no burn-in error)."""
+def ou_stationary_sample(law: OuLaw, n: int, rng) -> EmpiricalMeasure:
+    """n exact iid draws from the law at its time t (no discretization or
+    burn-in error; t = inf gives the stationary law)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = as_generator(rng)
-    if law.kind == "gaussian":
-        pts = law.scale * gen.standard_normal((n, law.d))
-    else:
-        model = StableModel(d=law.d, alpha=law.alpha)
-        pts = law.scale * sample_stable_increment(model, 1.0, gen, size=n)
+    model = StableModel(d=law.d, alpha=law.alpha)
+    pts = law.scale * sample_stable_increment(model, 1.0, rng, size=n)
+    if math.isfinite(law.t):
+        pts += math.exp(-law.t) * law.x0
     return EmpiricalMeasure(points=pts)
-
-
-def ou_transient_char(xi, t: float, x, alpha: float):
-    """Characteristic function of X_t started at x under the stable noise:
-
-        E exp(i<xi, X_t>) = exp(i<xi, e^(-t) x>) exp(-(1-e^(-alpha t)) |xi|^alpha / (2 alpha))
-
-    valid for alpha in (0,2] (alpha=2 gives the Gaussian OU bridge of
-    variance (1-e^(-2t))/2).  Returns (re, im).
-    """
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (0,2], got {alpha}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    norm_xi = float(np.linalg.norm(xi))
-    # -expm1(-alpha t) = 1 - e^(-alpha t), accurate for small t
-    damp = math.exp(-(-math.expm1(-alpha * t)) * norm_xi ** alpha / (2.0 * alpha))
-    phase = float(xi @ x) * math.exp(-t)
-    return damp * math.cos(phase), damp * math.sin(phase)
 
 
 def ou_w1_lower_exact(d: int, alpha: float) -> float:

@@ -47,6 +47,9 @@ class StableModel:
         if np.linalg.cond(sigma) > 1e12:
             raise DomainError("sigma is numerically singular (condition > 1e12)")
         object.__setattr__(self, "sigma", sigma)
+        # the product by an identity sigma is bit-equal to its input, so the
+        # sampler skips it
+        object.__setattr__(self, "_sigma_is_identity", np.array_equal(sigma, np.eye(self.d)))
 
     @property
     def is_brownian(self) -> bool:
@@ -121,7 +124,8 @@ def sample_stable_increment(model: StableModel, dt, rng, size=None):
     else:
         s = sample_subordinator_increment(model.alpha, dt, gen, size=n)
         inc = np.sqrt(s)[:, None] * gen.standard_normal((n, model.d))
-    inc = inc @ model.sigma.T
+    if not model._sigma_is_identity:
+        inc = inc @ model.sigma.T
     return inc[0] if size is None else inc
 
 

@@ -154,11 +154,6 @@ def stable_mean_norm(d: int, alpha: float) -> float:
     return mean_norm_prefactor(d) * 2.0 ** (-1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha)
 
 
-def gaussian_mean_norm(d: int) -> float:
-    """E|B_1| for standard d-dimensional Brownian motion at time 1."""
-    return mean_norm_prefactor(d) * 2.0 ** -0.5 * math.gamma(0.5)
-
-
 def phi(x: float) -> float:
     """phi(x) = (2x)^(-1/x) Gamma(1 - 1/x) on (1,2].
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from stablegap import (
     ExperimentConfig,
+    OuLaw,
     RngStream,
     StableModel,
     bootstrap_stderr,
@@ -20,7 +21,6 @@ from stablegap import (
     empirical_char_function,
     ou_stationary_sample,
     ou_w1_lower_exact,
-    OuStationaryLaw,
     ratio_minus_one,
     run_alpha_sweep,
     run_contraction,
@@ -159,20 +159,16 @@ def test_criterion_06_stationary_lower_bound():
     for i, alpha in enumerate((1.8, 1.9, 1.95, 1.99)):
         lower = ou_w1_lower_exact(1, alpha)
         # exact assignment at n = 4096 with bootstrapped error bars
-        X = ou_stationary_sample(OuStationaryLaw(d=1, kind="stable", alpha=alpha),
-                                 4096, base.child(2 * i))
-        Y = ou_stationary_sample(OuStationaryLaw(d=1, kind="gaussian"),
-                                 4096, base.child(2 * i + 1))
+        X = ou_stationary_sample(OuLaw(1, alpha), 4096, base.child(2 * i))
+        Y = ou_stationary_sample(OuLaw(1, 2.0), 4096, base.child(2 * i + 1))
         est = w1_assignment(X, Y)
         se = bootstrap_stderr(X, Y, estimator="exact_assignment", n_resamples=20,
                               rng=base.child(100 + i))
         assert est.value >= lower - 3.0 * se, \
             f"alpha={alpha}: {est.value:.5f} < {lower:.5f} - 3*{se:.5f}"
         # mean-norm statistic at n = 1e6 estimates the bound itself
-        Xm = ou_stationary_sample(OuStationaryLaw(d=1, kind="stable", alpha=alpha),
-                                  1_000_000, base.child(200 + i))
-        Ym = ou_stationary_sample(OuStationaryLaw(d=1, kind="gaussian"),
-                                  1_000_000, base.child(300 + i))
+        Xm = ou_stationary_sample(OuLaw(1, alpha), 1_000_000, base.child(200 + i))
+        Ym = ou_stationary_sample(OuLaw(1, 2.0), 1_000_000, base.child(300 + i))
         mn = w1_mean_norm_lower(Xm, Ym)
         assert abs(mn.value - lower) <= 3.0 * mn.stderr, \
             f"alpha={alpha}: mean-norm {mn.value:.6f} vs exact {lower:.6f}"

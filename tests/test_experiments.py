@@ -121,6 +121,9 @@ def test_load_results_rejects_bad_files(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_results(str(p))
+    p.write_text("a,b,config_hash\n1,2,3,h\n")
+    with pytest.raises(ValueError, match="line 2 has 4 fields"):
+        load_results(str(p))
 
 
 def test_csv_fields_with_commas_round_trip(tmp_path):

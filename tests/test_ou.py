@@ -1,5 +1,6 @@
-"""Closed-form linear-SDE results: stationary laws, transient characteristic
-function, and the exact W1 lower bound with its (2-alpha) rate window.
+"""Closed-form linear-SDE results: the OU law at every time (exact draws and
+characteristic function), and the exact W1 lower bound with its (2-alpha)
+rate window.
 """
 import math
 
@@ -9,16 +10,12 @@ import pytest
 
 from stablegap import (
     DomainError,
-    OuStationaryLaw,
+    OuLaw,
     RngStream,
-    StableModel,
     empirical_char_function,
     gammalower_check,
-    gaussian_mean_norm,
     ou_stationary_sample,
-    ou_transient_char,
     ou_w1_lower_exact,
-    sample_stable_increment,
     stable_mean_norm,
 )
 from conftest import z_score
@@ -90,15 +87,25 @@ def test_gammalower_window():
 
 
 def test_stationary_law_validation_and_scale():
-    law = OuStationaryLaw(d=2, kind="stable", alpha=1.5)
-    assert law.scale == pytest.approx(1.5 ** (-1.0 / 1.5), rel=1e-14)
-    assert OuStationaryLaw(d=2, kind="gaussian").scale == pytest.approx(2 ** -0.5)
-    with pytest.raises(DomainError):
-        OuStationaryLaw(d=2, kind="stable")  # alpha missing
-    with pytest.raises(DomainError):
-        OuStationaryLaw(d=2, kind="gaussian", alpha=1.5)
-    with pytest.raises(DomainError):
-        OuStationaryLaw(d=2, kind="levy")
+    # the stationary scale alpha^(-1/alpha) is exact to the bit, which the
+    # stationary CSVs rely on
+    for alpha in map(float, np.linspace(1.01, 2.0, 500)):
+        assert OuLaw(1, alpha).scale == alpha ** (-1.0 / alpha)
+    assert OuLaw(2, 2.0).scale == 2 ** -0.5
+    # s(t)^alpha = (1 - e^(-alpha t)) / alpha at finite t
+    assert OuLaw(2, 1.5, t=0.3).scale ** 1.5 == pytest.approx(
+        (1 - math.exp(-0.45)) / 1.5, rel=1e-14)
+    assert OuLaw(2, 1.5, t=0.0).scale == 0.0
+    law = OuLaw(2, 1.5)
+    assert np.array_equal(law.x0, np.zeros(2))
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        OuLaw(2, 2.5)
+    with pytest.raises(DomainError, match="t must be nonnegative"):
+        OuLaw(2, 1.5, t=-0.1)
+    with pytest.raises(DomainError, match="dimension must be"):
+        OuLaw(0, 1.5)
+    with pytest.raises(DomainError, match="x0 must be a finite vector of 2 entries"):
+        OuLaw(2, 1.5, t=1.0, x0=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         ou_stationary_sample(law, 0, RngStream(1))
 
@@ -106,25 +113,25 @@ def test_stationary_law_validation_and_scale():
 def test_stationary_stable_mean_norm_consistency():
     # empirical mean norm of the stationary stable law against the
     # closed-form product scale * E|L_1|
-    law = OuStationaryLaw(d=1, kind="stable", alpha=1.5)
+    law = OuLaw(1, 1.5)
     m = ou_stationary_sample(law, 400_000, RngStream(51))
     target = law.scale * stable_mean_norm(1, 1.5)
     assert z_score(np.abs(m.points[:, 0]), target) < 3.0
 
 
 def test_stationary_gaussian_moments():
-    law = OuStationaryLaw(d=1, kind="gaussian")
+    law = OuLaw(1, 2.0)
     m = ou_stationary_sample(law, 400_000, RngStream(52))
     x = m.points[:, 0]
     assert z_score(x, 0.0) < 4.0
     assert z_score(x * x, 0.5) < 4.0
-    assert z_score(np.abs(x), gaussian_mean_norm(1) / math.sqrt(2)) < 4.0
+    assert z_score(np.abs(x), law.scale * stable_mean_norm(1, 2.0)) < 4.0
 
 
 def test_stationary_stable_char_function():
     # stationary characteristic function exp(-|xi|^alpha / (2 alpha))
     alpha = 1.7
-    law = OuStationaryLaw(d=1, kind="stable", alpha=alpha)
+    law = OuLaw(1, alpha)
     m = ou_stationary_sample(law, 400_000, RngStream(53))
     for xi in (0.5, 1.0, 2.0):
         cf = empirical_char_function(m, xi)
@@ -133,23 +140,26 @@ def test_stationary_stable_char_function():
 
 
 def test_stationary_stable_alpha2_equals_gaussian_draws():
-    a = ou_stationary_sample(OuStationaryLaw(d=3, kind="stable", alpha=2.0), 100,
-                             RngStream(54))
-    b = ou_stationary_sample(OuStationaryLaw(d=3, kind="gaussian"), 100, RngStream(54))
-    assert np.array_equal(a.points, b.points)
+    # the Brownian stationary law is N(0, I/2): its draws are bit-equal to
+    # 2^(-1/2) standard normals on the same stream
+    for d in (1, 3, 20):
+        a = ou_stationary_sample(OuLaw(d, 2.0), 100, RngStream(54, d))
+        b = 2 ** -0.5 * RngStream(54, d).generator().standard_normal((100, d))
+        assert np.array_equal(a.points, b)
 
 
 def test_transient_char_limits():
     # t = 0: pure phase at the start point; t large: stationary, x forgotten
-    re0, im0 = ou_transient_char(1.3, 0.0, 0.7, 1.8)
+    re0, im0 = OuLaw(1, 1.8, t=0.0, x0=[0.7]).char(1.3)
     assert re0 == pytest.approx(math.cos(1.3 * 0.7), rel=1e-14)
     assert im0 == pytest.approx(math.sin(1.3 * 0.7), rel=1e-14)
-    re_inf, im_inf = ou_transient_char(1.3, 60.0, 0.7, 1.8)
+    re_inf, im_inf = OuLaw(1, 1.8, t=60.0, x0=[0.7]).char(1.3)
     stat = math.exp(-1.3 ** 1.8 / (2 * 1.8))
     assert re_inf == pytest.approx(stat, rel=1e-12)
     assert im_inf == pytest.approx(0.0, abs=1e-12)
-    far_x = ou_transient_char(1.3, 60.0, 123.0, 1.8)
+    far_x = OuLaw(1, 1.8, t=60.0, x0=[123.0]).char(1.3)
     assert far_x == pytest.approx((re_inf, im_inf), rel=1e-9)
+    assert OuLaw(1, 1.8).char(1.3) == (stat, 0.0)
 
 
 def test_transient_char_against_mpmath():
@@ -158,7 +168,7 @@ def test_transient_char_against_mpmath():
         a = mp.mpf(alpha)
         damp = mp.e ** (-(1 - mp.e ** (-a * t)) * abs(xi) ** a / (2 * a))
         phase = xi * x * mp.e ** (-t)
-        re, im = ou_transient_char(xi, t, x, alpha)
+        re, im = OuLaw(1, alpha, t=t, x0=[x]).char(xi)
         assert re == pytest.approx(float(damp * mp.cos(phase)), rel=1e-12)
         assert im == pytest.approx(float(damp * mp.sin(phase)), rel=1e-12)
 
@@ -166,7 +176,7 @@ def test_transient_char_against_mpmath():
 def test_transient_char_vector_arguments():
     xi = np.array([0.5, -0.5])
     x = np.array([1.0, 2.0])
-    re, im = ou_transient_char(xi, 0.4, x, 1.6)
+    re, im = OuLaw(2, 1.6, t=0.4, x0=x).char(xi)
     norm = math.sqrt(0.5)
     damp = math.exp(-(1 - math.exp(-1.6 * 0.4)) * norm ** 1.6 / 3.2)
     phase = (0.5 * 1.0 - 0.5 * 2.0) * math.exp(-0.4)
@@ -175,24 +185,22 @@ def test_transient_char_vector_arguments():
 
 
 def test_transient_char_matches_exact_construction():
-    # X_t = e^(-t) x + ((1-e^(-alpha t))/alpha)^(1/alpha) L_1 realizes the
-    # transient law exactly, so its empirical characteristic function must
-    # match the closed form without any discretization allowance
-    alpha, t, x0 = 1.6, 0.8, 2.0
+    # the exact draws X_t = e^(-t) x0 + s(t) L_1 realize the transient law,
+    # so their empirical characteristic function must match the closed form
+    # without any discretization allowance
+    law = OuLaw(1, 1.6, t=0.8, x0=[2.0])
     n = 400_000
-    L = sample_stable_increment(StableModel(d=1, alpha=alpha), 1.0, RngStream(55),
-                                size=n)[:, 0]
-    scale = ((1.0 - math.exp(-alpha * t)) / alpha) ** (1.0 / alpha)
-    samples = math.exp(-t) * x0 + scale * L
+    samples = ou_stationary_sample(law, n, RngStream(55)).points[:, 0]
     for xi in (0.5, 1.5):
-        re_t, im_t = ou_transient_char(xi, t, x0, alpha)
+        re_t, im_t = law.char(xi)
         cos, sin = np.cos(xi * samples), np.sin(xi * samples)
         assert abs(cos.mean() - re_t) / (cos.std(ddof=1) / math.sqrt(n)) < 4.0
         assert abs(sin.mean() - im_t) / (sin.std(ddof=1) / math.sqrt(n)) < 4.0
 
 
 def test_transient_char_rejects_bad_domain():
-    with pytest.raises(DomainError):
-        ou_transient_char(1.0, -0.1, 0.0, 1.5)
-    with pytest.raises(DomainError):
-        ou_transient_char(1.0, 1.0, 0.0, 2.5)
+    with pytest.raises(DomainError, match="t must be nonnegative"):
+        OuLaw(1, 1.5, t=math.nan)
+    for x0 in ([math.nan], [math.inf]):
+        with pytest.raises(DomainError, match="x0 must be a finite vector"):
+            OuLaw(1, 1.5, t=1.0, x0=x0)

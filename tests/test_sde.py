@@ -14,12 +14,12 @@ from stablegap import (
     DomainError,
     DriftSpec,
     IntegrationError,
+    OuLaw,
     RngStream,
     StableModel,
     ergodic_sample,
     integrate_coupled_ensemble,
     integrate_ensemble,
-    ou_transient_char,
     sample_subordinator_increment,
 )
 from conftest import z_score
@@ -117,8 +117,9 @@ def test_stable_ensemble_matches_transient_char_function():
     _, snaps = integrate_ensemble(model, drift, np.full((n, 1), x0), t, steps,
                                   RngStream(3))
     end = snaps[-1][:, 0]
+    law = OuLaw(1, alpha, t=t, x0=[x0])
     for xi in (0.5, 1.0, 2.0):
-        re_t, im_t = ou_transient_char(xi, t, x0, alpha)
+        re_t, im_t = law.char(xi)
         cos, sin = np.cos(xi * end), np.sin(xi * end)
         z_re = abs(cos.mean() - re_t) / (cos.std(ddof=1) / math.sqrt(n))
         z_im = abs(sin.mean() - im_t) / (sin.std(ddof=1) / math.sqrt(n))

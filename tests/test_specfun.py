@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from stablegap import (
     DomainError,
     crate_bound_fit,
-    gaussian_mean_norm,
     log_gamma,
     mean_norm_prefactor,
     phi,
@@ -163,15 +162,10 @@ def test_stable_mean_norm_against_mpmath(d, alpha):
     assert rel_err(stable_mean_norm(d, alpha), ref) < 1e-10
 
 
-def test_stable_mean_norm_alpha2_is_gaussian():
-    for d in (1, 3, 42):
-        assert stable_mean_norm(d, 2.0) == pytest.approx(gaussian_mean_norm(d), rel=1e-14)
-
-
 def test_gaussian_mean_norm_spot_values():
-    # E|B_1| in d=1 is sqrt(2/pi); in d=3 it is 2 sqrt(2/pi)
-    assert gaussian_mean_norm(1) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
-    assert gaussian_mean_norm(3) == pytest.approx(2 * math.sqrt(2 / math.pi), rel=1e-14)
+    # E|B_1| (alpha = 2) in d=1 is sqrt(2/pi); in d=3 it is 2 sqrt(2/pi)
+    assert stable_mean_norm(1, 2.0) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
+    assert stable_mean_norm(3, 2.0) == pytest.approx(2 * math.sqrt(2 / math.pi), rel=1e-14)
 
 
 def test_phi_spot_value_and_monotone_gap():
