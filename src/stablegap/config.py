@@ -2,31 +2,60 @@
 determines an experiment's output.
 
 A config can come from a key=value text file, from CLI flags, or from code;
-all three meet in ExperimentConfig.  The canonical serialization (sorted
-key=value lines) is hashed, and every output row carries the hash, so any
-CSV row can be traced back to the exact configuration that produced it.
+all three meet in ExperimentConfig.  Every default an experiment applies is
+decided here, once: `ExperimentConfig.resolved()` fills each field the
+experiment reads from the rules in `EXPERIMENTS`, the runners read that
+record, and its canonical serialization (sorted key=value lines) is hashed.
+Every output row carries the hash, so any CSV row traces back to the one
+configuration that produced it, whether a value was given or defaulted.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-# experiment -> the config fields its runner reads.  "name[0]": the runner
-# reads the grid's first value only, so the grid must hold one value unless
-# it is the default.  "name?": read under drift=custom only.  Every other
-# field (experiment, seed and output_path aside) must keep its default, so
-# no two config hashes differ by a value that nothing reads.
+from .errors import CapacityError
+from .sde import DriftSpec
+from .wasserstein import ASSIGNMENT_CAP
+
+
+class Experiment(NamedTuple):
+    """One experiment's row of the config table.
+
+    reads: the fields its runner reads.  "name[0]": the grid's first value
+    only, so the grid must hold one value unless it is the default.
+    "name?": read under drift=custom only.  Every other field (experiment,
+    seed and output_path aside) must keep its default, so no two config
+    hashes differ by a value that nothing reads.
+    n_samples: the sample count per cloud when none is given (at most
+    ASSIGNMENT_CAP under estimator=assignment).
+    horizon: T when none is given, or the fixed horizon of an experiment
+    that does not read T.  n_steps defaults to the horizon over the default
+    Euler step (`euler_step`), and burn_in to 10/theta0 of the drift.
+    """
+
+    reads: str
+    n_samples: Optional[int] = None
+    horizon: Optional[float] = None
+
+
 EXPERIMENTS = {
-    "alpha_sweep": "alpha_grid d_grid[0] n_samples estimator n_bootstrap n_projections "
-                   "drift drift_param? burn_in?",
-    "dim_sweep": "alpha_grid[0] d_grid n_samples n_projections drift drift_param? burn_in?",
-    "transient": "alpha_grid[0] d_grid[0] n_samples n_steps T estimator n_bootstrap "
-                 "n_projections x_start drift drift_param? burn_in?",
-    "contraction": "alpha_grid[0] d_grid[0] n_samples n_steps T x_start drift drift_param?",
-    "gradient_check": "alpha_grid d_grid[0] n_samples n_steps drift drift_param?",
-    "selftest": "",
+    "alpha_sweep": Experiment("alpha_grid d_grid[0] n_samples estimator n_bootstrap "
+                              "n_projections drift drift_param? burn_in?",
+                              n_samples=20_000_000),
+    "dim_sweep": Experiment("alpha_grid[0] d_grid n_samples n_projections drift "
+                            "drift_param? burn_in?", n_samples=1_000_000),
+    "transient": Experiment("alpha_grid[0] d_grid[0] n_samples n_steps T estimator "
+                            "n_bootstrap n_projections x_start drift drift_param? burn_in?",
+                            n_samples=4096, horizon=8.0),
+    "contraction": Experiment("alpha_grid[0] d_grid[0] n_samples n_steps T x_start drift "
+                              "drift_param?", n_samples=512, horizon=5.0),
+    "gradient_check": Experiment("alpha_grid d_grid[0] n_samples n_steps drift drift_param?",
+                                 n_samples=65_536, horizon=1.0),
+    "selftest": Experiment(""),
 }
 
 # --estimator name -> the wasserstein method tag it runs
@@ -41,17 +70,25 @@ DRIFTS = ("ou", "custom")
 # regressions well conditioned at the default sample size.
 DEFAULT_ALPHA_GRID = (1.975, 1.98361, 1.98925, 1.99296, 1.99538, 1.99697, 1.998)
 
-DEFAULT_SWEEP_SAMPLES = 20_000_000
+
+def euler_step(drift: DriftSpec) -> float:
+    """The default Euler step: 1e-3, shortened to 1e-3/theta1 for drifts
+    whose Lipschitz bound theta1 exceeds 1."""
+    return 1e-3 * min(1.0, 1.0 / drift.theta1)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run, fully determined (seed included).
 
-    n_samples, n_steps, T and burn_in default to None, meaning "use the
-    experiment's documented default"; each runner in experiments.py states
-    its own resolution rule.  The seed has no default on purpose: runs must
-    be reproducible, so wall-clock seeding is not an option.
+    n_samples, n_steps, T and burn_in default to None, meaning "the
+    experiment's default" (the rules of `EXPERIMENTS`); `resolved()` returns
+    the record with those values filled in, and the hash is that record's,
+    so leaving a field out and giving its default value are one config.
+    Counts are stored as ints and real scalars as floats, refusing a
+    non-integral count, so one value has one spelling.  The seed has no
+    default on purpose: runs must be reproducible, so wall-clock seeding is
+    not an option.
     """
 
     experiment: str
@@ -83,7 +120,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown drift {self.drift!r}; choose from {DRIFTS}")
         if self.seed is None:
             raise ValueError("seed is mandatory; wall-clock seeding is not supported")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("seed", "n_samples", "n_steps", "n_bootstrap", "n_projections"):
+            v = getattr(self, name)
+            if v is not None:
+                object.__setattr__(self, name, _integer(v, f"{name} must be an integer"))
+        for name in ("drift_param", "T", "burn_in", "x_start"):
+            v = getattr(self, name)
+            if v is not None:
+                object.__setattr__(self, name, float(v))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "d_grid", tuple(_dimension(d) for d in self.d_grid))
         if not self.alpha_grid or not self.d_grid:
@@ -96,7 +140,7 @@ class ExperimentConfig:
                 raise ValueError(f"dimensions must be >= 1, got {d}")
         for name in ("n_samples", "n_steps"):
             v = getattr(self, name)
-            if v is not None and int(v) < 1:
+            if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
         for name in ("T", "burn_in"):
             v = getattr(self, name)
@@ -107,9 +151,10 @@ class ExperimentConfig:
         if self.n_projections < 1:
             raise ValueError("n_projections must be >= 1")
         self._refuse_unread_fields()
+        self._refuse_runs_that_cannot_finish()
 
     def _refuse_unread_fields(self):
-        reads = EXPERIMENTS[self.experiment].split()
+        reads = EXPERIMENTS[self.experiment].reads.split()
         for f in fields(self):
             name, value = f.name, getattr(self, f.name)
             if name in ("experiment", "seed", "output_path") or value == f.default \
@@ -127,17 +172,68 @@ class ExperimentConfig:
                 raise ValueError(f"{self.experiment} does not read {name}; leave it at "
                                  f"its default {f.default!r} (got {value!r})")
 
+    def _refuse_runs_that_cannot_finish(self):
+        """Refuse, before any sampling, a run whose fit or solver would
+        fail only after the work is done."""
+        if self.estimator == "assignment" and self.n_samples is not None \
+                and self.n_samples > ASSIGNMENT_CAP:
+            raise CapacityError(f"assignment solver capped at n={ASSIGNMENT_CAP} (got "
+                                f"n_samples={self.n_samples}); use --estimator sliced "
+                                "for larger clouds")
+        if self.experiment == "alpha_sweep" and sum(a < 2.0 for a in self.alpha_grid) < 3:
+            raise ValueError("alpha_sweep rate fits need >= 3 alphas below 2, got "
+                             f"{self.alpha_grid}")
+        if self.experiment == "dim_sweep":
+            if len(self.d_grid) < 3:
+                raise ValueError(f"dim_sweep growth fits need >= 3 dimensions, got {self.d_grid}")
+            if not self.alpha_grid[0] < 2.0:
+                raise ValueError("dim_sweep needs alpha < 2 (the gap vanishes at 2)")
+
+    def drift_spec(self, d: int) -> DriftSpec:
+        """The configured drift in dimension d."""
+        return (DriftSpec.ornstein_uhlenbeck(d) if self.drift == "ou"
+                else DriftSpec.dissipative_tanh(d, self.drift_param))
+
+    def resolved(self) -> "ExperimentConfig":
+        """This config with every field the experiment reads made concrete.
+
+        A field left at None takes its rule from `EXPERIMENTS`: the
+        experiment's n_samples (capped at ASSIGNMENT_CAP under
+        estimator=assignment) and horizon T, n_steps = T over `euler_step`,
+        and burn_in = 10/theta0 under drift=custom.  Fields the experiment
+        does not read keep their defaults.  A view, not a fill at
+        construction: `replace(cfg, T=2.0)` must recompute n_steps.
+        """
+        spec = EXPERIMENTS[self.experiment]
+        reads = spec.reads.split()
+        T = self.T if self.T is not None else spec.horizon
+        # theta0 and theta1 do not depend on the dimension
+        drift = self.drift_spec(1) if "drift" in reads else None
+        values = {}
+        if "n_samples" in reads and self.n_samples is None:
+            n = spec.n_samples
+            values["n_samples"] = min(n, ASSIGNMENT_CAP) if self.estimator == "assignment" else n
+        if "T" in reads:
+            values["T"] = T
+        if "n_steps" in reads and self.n_steps is None:
+            values["n_steps"] = max(1, round(T / euler_step(drift)))
+        if "burn_in?" in reads and self.drift == "custom" and self.burn_in is None:
+            values["burn_in"] = 10.0 / drift.theta0
+        return replace(self, **values)
+
     def key_values(self) -> list:
-        """Canonical serialization: sorted key=value lines.
+        """Canonical serialization of the resolved record: sorted key=value
+        lines.
 
         output_path is skipped: where results land does not change what they
         are, and the hash identifies the data-generating process only.
         """
+        cfg = self.resolved()
         out = []
-        for f in sorted(fields(self), key=lambda f: f.name):
+        for f in sorted(fields(cfg), key=lambda f: f.name):
             if f.name == "output_path":
                 continue
-            v = getattr(self, f.name)
+            v = getattr(cfg, f.name)
             if isinstance(v, tuple):
                 v = ",".join(repr(x) for x in v)
             out.append(f"{f.name}={v!r}" if isinstance(v, str) else f"{f.name}={v}")
@@ -148,13 +244,18 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _integer(v, message: str) -> int:
+    """v as an int, refusing a non-integral value rather than truncating it."""
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    x = float(v)
+    if not x.is_integer():
+        raise ValueError(f"{message}, got {v}")
+    return int(x)
+
+
 def _dimension(v) -> int:
-    """A dimension as an int, refusing a non-integral value rather than
-    truncating it."""
-    d = float(v)
-    if not d.is_integer():
-        raise ValueError(f"dimensions must be integers, got {v}")
-    return int(d)
+    return _integer(v, "dimensions must be integers")
 
 
 def _parse_grid(text: str, cast):

@@ -17,15 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_SWEEP_SAMPLES, ESTIMATORS, ExperimentConfig
-from .errors import CapacityError, InvariantError
+from .config import ESTIMATORS, EXPERIMENTS, ExperimentConfig, euler_step
+from .errors import InvariantError
 from .ou import OuLaw, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
 from .rng import RngStream
 from .sampling import StableModel, sample_subordinator_increment
 from .sde import DriftSpec, ergodic_sample, integrate_coupled_ensemble, integrate_ensemble
 from .specfun import crate_bound_fit, ratio_minus_one
 from .wasserstein import (
-    ASSIGNMENT_CAP,
     EmpiricalMeasure,
     bootstrap_stderr,
     w1_assignment,
@@ -185,53 +184,23 @@ def _plot_path(path: str) -> str:
 # ---------------------------------------------------------------------------
 # Estimator dispatch
 
-def _method_and_n(cfg: ExperimentConfig, default_n: int):
-    """The configured estimator's method tag and the sample count per cloud:
-    cfg.n_samples, else default_n.  Assignment caps the default at
-    ASSIGNMENT_CAP and refuses a larger n here, before any sampling."""
+def _estimate_pair(X, Y, cfg: ExperimentConfig, stream: RngStream):
+    """One W1 estimate by the configured estimator plus its bootstrap
+    standard error.  The bootstrap stream is derived from `stream` so the
+    point estimate itself never depends on n_bootstrap."""
     method = ESTIMATORS[cfg.estimator]
-    cap = ASSIGNMENT_CAP if method == "exact_assignment" else math.inf
-    n = cfg.n_samples if cfg.n_samples is not None else min(default_n, cap)
-    if n > cap:
-        raise CapacityError(f"assignment solver capped at n={cap} (got n_samples={n}); "
-                            "use --estimator sliced for larger clouds")
-    return method, n
-
-
-def _estimate_pair(X, Y, method: str, cfg: ExperimentConfig, stream: RngStream):
-    """One W1 estimate by the method tag plus its bootstrap standard error.
-    The bootstrap stream is derived from `stream` so the point estimate
-    itself never depends on n_bootstrap."""
     est = w1_estimate(method, X, Y, cfg.n_projections, stream.child(1))
     se = bootstrap_stderr(X, Y, method, n_resamples=cfg.n_bootstrap,
                           rng=stream.child(2), n_projections=cfg.n_projections)
     return est, se
 
 
-def _drift(cfg: ExperimentConfig, d: int) -> DriftSpec:
-    return (DriftSpec.ornstein_uhlenbeck(d) if cfg.drift == "ou"
-            else DriftSpec.dissipative_tanh(d, cfg.drift_param))
-
-
-def _step_target(drift: DriftSpec) -> float:
-    """The default Euler step: 1e-3, shortened to 1e-3/theta1 for drifts
-    whose Lipschitz bound theta1 exceeds 1."""
-    return 1e-3 * min(1.0, 1.0 / drift.theta1)
-
-
-def _drift_and_steps(cfg: ExperimentConfig, d: int, T: float):
-    """The configured drift in dimension d and the Euler step count over
-    [0, T]: cfg.n_steps if set, else T over the default step."""
-    drift = _drift(cfg, d)
-    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(T / _step_target(drift)))
-    return drift, n_steps
-
-
 def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
     """Clouds from the two stationary laws at matched sample count.
 
     OU drift: exact draws.  Custom drift: long-run simulation under both
-    noises (no closed form exists there).
+    noises (no closed form exists there), burnt in for cfg.burn_in (cfg is
+    resolved) at the default Euler step.
     """
     s_stable = derive_stream(cfg.seed, "stationary", "stable", d, alpha, n)
     s_gauss = derive_stream(cfg.seed, "stationary", "gauss", d, alpha, n)
@@ -239,12 +208,11 @@ def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
         X = ou_stationary_sample(OuLaw(d, alpha), n, s_stable)
         Y = ou_stationary_sample(OuLaw(d, 2.0), n, s_gauss)
         return X, Y
-    drift = _drift(cfg, d)
-    burn = cfg.burn_in if cfg.burn_in is not None else 10.0 / drift.theta0
-    steps_per_unit = round(1.0 / _step_target(drift))
-    X = ergodic_sample(StableModel(d=d, alpha=alpha), drift, burn, n, 1.0,
+    drift = cfg.drift_spec(d)
+    steps_per_unit = round(1.0 / euler_step(drift))
+    X = ergodic_sample(StableModel(d=d, alpha=alpha), drift, cfg.burn_in, n, 1.0,
                        steps_per_unit, s_stable)
-    Y = ergodic_sample(StableModel(d=d, alpha=2.0), drift, burn, n, 1.0,
+    Y = ergodic_sample(StableModel(d=d, alpha=2.0), drift, cfg.burn_in, n, 1.0,
                        steps_per_unit, s_gauss)
     return X, Y
 
@@ -269,13 +237,13 @@ def run_alpha_sweep(cfg: ExperimentConfig) -> AlphaSweepResult:
     Writes two CSVs when output_path is set: the per-alpha table, and a
     plot-ready companion with the transformed x columns and fitted lines.
     """
-    d = cfg.d_grid[0]
-    method, n = _method_and_n(cfg, DEFAULT_SWEEP_SAMPLES)
+    cfg = cfg.resolved()
+    d, n = cfg.d_grid[0], cfg.n_samples
 
     def one(alpha: float):
         X, Y = _stationary_pair(d, alpha, n, cfg)
         stream = derive_stream(cfg.seed, "alpha_sweep", d, alpha, n)
-        est, se = _estimate_pair(X, Y, method, cfg, stream)
+        est, se = _estimate_pair(X, Y, cfg, stream)
         return est.value, se
 
     results = parallel_map(one, cfg.alpha_grid)
@@ -339,10 +307,8 @@ _DIM_NOTE = (
 def run_dim_sweep(cfg: ExperimentConfig) -> DimSweepResult:
     """Lower-bound estimators across dimensions at fixed alpha, with growth
     fits of the exact lower bound against d and against d log(1+d)."""
-    alpha = cfg.alpha_grid[0]
-    if not alpha < 2.0:
-        raise ValueError("dim sweep needs alpha < 2 (the gap vanishes at 2)")
-    n_mean = cfg.n_samples if cfg.n_samples is not None else 1_000_000
+    cfg = cfg.resolved()
+    alpha, n_mean = cfg.alpha_grid[0], cfg.n_samples
     n_sliced = min(n_mean, 65_536)
     n_assign = min(n_mean, 2048)
 
@@ -418,11 +384,9 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     stationary gap; the plateau is compared against the stationary estimate
     at the same alpha and sample size.
     """
-    alpha = cfg.alpha_grid[0]
-    d = cfg.d_grid[0]
-    method, n = _method_and_n(cfg, ASSIGNMENT_CAP)
-    T = cfg.T if cfg.T is not None else 8.0
-    drift, n_steps = _drift_and_steps(cfg, d, T)
+    cfg = cfg.resolved()
+    alpha, d, n, T = cfg.alpha_grid[0], cfg.d_grid[0], cfg.n_samples, cfg.T
+    drift = cfg.drift_spec(d)
     times = [t for t in _TRANSIENT_GRID if t <= T]
     if times[-1] < T:
         times.append(T)
@@ -432,17 +396,17 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     X0 = np.tile(x0, (n, 1))
     Y0 = np.zeros((n, d))
     _, snaps_x = integrate_ensemble(
-        StableModel(d=d, alpha=alpha), drift, X0, T, n_steps,
+        StableModel(d=d, alpha=alpha), drift, X0, T, cfg.n_steps,
         derive_stream(cfg.seed, "transient", "stable", d, alpha, n),
         record_times=times)
     _, snaps_y = integrate_ensemble(
-        StableModel(d=d, alpha=2.0), drift, Y0, T, n_steps,
+        StableModel(d=d, alpha=2.0), drift, Y0, T, cfg.n_steps,
         derive_stream(cfg.seed, "transient", "gauss", d, alpha, n),
         record_times=times)
 
     def one(i):
         stream = derive_stream(cfg.seed, "transient_est", d, alpha, n, times[i])
-        est, se = _estimate_pair(snaps_x[i], snaps_y[i], method, cfg, stream)
+        est, se = _estimate_pair(snaps_x[i], snaps_y[i], cfg, stream)
         return est.value, se
 
     results = parallel_map(one, range(len(times)))
@@ -450,15 +414,16 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     stderr = np.array([r[1] for r in results])
     times = np.array(times)
 
-    # plateau: average of the final quarter of the curve (at least 3 points)
-    k = max(3, len(times) // 4)
+    # plateau: average of the final quarter of the curve (at least 3 points,
+    # but never the start point)
+    k = min(max(3, len(times) // 4), len(times) - 1)
     plateau = float(w1[-k:].mean())
     plateau_se = float(np.sqrt(np.mean(stderr[-k:] ** 2) / k))
 
     # stationary reference at the same alpha, n and estimator
     Xs, Ys = _stationary_pair(d, alpha, n, cfg)
     st_est, st_se = _estimate_pair(
-        Xs, Ys, method, cfg, derive_stream(cfg.seed, "transient_stat", d, alpha, n))
+        Xs, Ys, cfg, derive_stream(cfg.seed, "transient_stat", d, alpha, n))
 
     # early decay: fit log(W1) on rows clearly above the plateau
     early = w1 > max(5.0 * plateau, 1e-12)
@@ -492,11 +457,8 @@ def run_contraction(cfg: ExperimentConfig) -> ContractionResult:
     """Mean gap of synchronously coupled paths against time, with the fitted
     exponential decay rate.  For the linear drift the gap is deterministic,
     (1-h)^k |x0-y0|, so the fitted rate must sit within Euler tolerance of 1."""
-    alpha = cfg.alpha_grid[0]
-    d = cfg.d_grid[0]
-    n = cfg.n_samples if cfg.n_samples is not None else 512
-    T = cfg.T if cfg.T is not None else 5.0
-    drift, n_steps = _drift_and_steps(cfg, d, T)
+    cfg = cfg.resolved()
+    alpha, d, n, T = cfg.alpha_grid[0], cfg.d_grid[0], cfg.n_samples, cfg.T
     times = list(np.linspace(0.0, T, 11))
 
     x0 = np.zeros(d)
@@ -504,7 +466,7 @@ def run_contraction(cfg: ExperimentConfig) -> ContractionResult:
     X0 = np.tile(x0, (n, 1))
     Y0 = np.zeros((n, d))
     snap_times, gaps = integrate_coupled_ensemble(
-        StableModel(d=d, alpha=alpha), drift, X0, Y0, T, n_steps,
+        StableModel(d=d, alpha=alpha), cfg.drift_spec(d), X0, Y0, T, cfg.n_steps,
         derive_stream(cfg.seed, "contraction", d, alpha, n),
         record_times=times)
     mean_gap = np.array([float(np.linalg.norm(gx - gy, axis=1).mean())
@@ -538,7 +500,8 @@ class GradientCheckResult:
     config_hash: str
 
 
-_GRADIENT_TIMES = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
+_GRADIENT_HORIZON = EXPERIMENTS["gradient_check"].horizon  # n_steps is resolved over it
+_GRADIENT_TIMES = tuple(np.round(np.linspace(0.1, _GRADIENT_HORIZON, 10), 10))
 _CLIP_M = 10.0
 _FD_EPS = 1e-3
 
@@ -552,11 +515,11 @@ def run_gradient_check(cfg: ExperimentConfig) -> GradientCheckResult:
     functions: the clipped first coordinate (sharp: equals e^{-t} for the
     linear drift up to clipping) and the clipped norm.
     """
-    d = cfg.d_grid[0]
-    n = cfg.n_samples if cfg.n_samples is not None else 65_536
+    cfg = cfg.resolved()
+    d, n = cfg.d_grid[0], cfg.n_samples
     alphas = list(cfg.alpha_grid) + [2.0]
-    T = float(_GRADIENT_TIMES[-1])
-    drift, n_steps = _drift_and_steps(cfg, d, T)
+    T = _GRADIENT_HORIZON
+    drift = cfg.drift_spec(d)
 
     x0 = np.zeros(d)
     x0[0] = 1.0
@@ -567,7 +530,7 @@ def run_gradient_check(cfg: ExperimentConfig) -> GradientCheckResult:
         X0 = np.tile(x0, (n, 1))
         Xp0 = np.tile(xp, (n, 1))
         _, snaps = integrate_coupled_ensemble(
-            StableModel(d=d, alpha=alpha), drift, Xp0, X0, T, n_steps,
+            StableModel(d=d, alpha=alpha), drift, Xp0, X0, T, cfg.n_steps,
             derive_stream(cfg.seed, "gradient", d, alpha, n),
             record_times=list(_GRADIENT_TIMES))
         g_id, g_norm = [], []

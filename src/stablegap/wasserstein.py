@@ -12,7 +12,7 @@ Four estimators with different cost/validity tradeoffs:
 `w1_estimate` runs the estimator of a method tag.  The CLI's `--estimator`
 names map to the tags assignment -> exact_assignment, sliced -> sliced and
 mean-norm -> mean_norm_lower; an assignment run above ASSIGNMENT_CAP is
-refused before it samples.  `bootstrap_stderr` is a separate call giving a
+refused when its config is built.  `bootstrap_stderr` is a separate call giving a
 standard error for any tag; only mean_norm_lower carries one itself.
 """
 from __future__ import annotations

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import ZeroUniform
 from stablegap import ExperimentConfig, RngStream, load_results
+import stablegap.experiments as experiments
 from stablegap.cli import main
 
 
@@ -67,7 +68,7 @@ def test_zero_kanter_uniform_is_invariant_failure(monkeypatch, capsys):
     # not an argument error (exit 2)
     monkeypatch.setattr(RngStream, "generator",
                         lambda self: ZeroUniform(np.random.Philox(key=[self.seed, self.stream_id])))
-    code = main(["alpha-sweep", "--seed", "1", "--alpha", "1.5", "--samples", "64"])
+    code = main(["alpha-sweep", "--seed", "1", "--alpha", "1.5,1.6,1.7", "--samples", "64"])
     assert code == 1
     assert "U = 0" in capsys.readouterr().err
 
@@ -91,6 +92,26 @@ def test_unread_or_truncated_inputs_are_argument_errors(argv, match, capsys):
     # would be a silent change of what the run claims to compute
     assert main(argv + ["--seed", "1", "--samples", "4"]) == 2
     assert match in capsys.readouterr().err
+
+
+def test_default_and_explicit_spellings_print_one_hash(capsys):
+    # --samples 512 and --steps 500 are what the bare run resolves to
+    hashes = set()
+    for extra in ([], ["--samples", "512"], ["--steps", "500"]):
+        assert main(["contraction", "--seed", "1", "--t-max", "0.5"] + extra) == 0
+        out = capsys.readouterr().out
+        hashes.add(out.split("config ")[1].split()[0])
+    assert hashes == {ExperimentConfig(experiment="contraction", seed=1, T=0.5).config_hash()}
+
+
+def test_short_sweep_is_refused_before_sampling(monkeypatch, capsys):
+    # at the default n = 2e7 the fit would fail only after minutes of sampling
+    def spy(*args, **kwargs):
+        raise AssertionError("sampled before the grid check")
+
+    monkeypatch.setattr(experiments, "ou_stationary_sample", spy)
+    assert main(["alpha-sweep", "--seed", "1", "--alpha", "1.9,1.95"]) == 2
+    assert ">= 3 alphas below 2" in capsys.readouterr().err
 
 
 def test_out_csv_carries_config_hash(tmp_path, capsys):

@@ -4,7 +4,9 @@ import dataclasses
 import pytest
 
 from stablegap import (
+    ASSIGNMENT_CAP,
     DEFAULT_ALPHA_GRID,
+    CapacityError,
     ExperimentConfig,
     load_config,
     parse_config_text,
@@ -18,9 +20,9 @@ def base(**kw):
 
 
 def test_defaults_and_coercion():
-    cfg = base(seed="9", alpha_grid=["1.9", 1.95], d_grid=[2.0])
+    cfg = base(seed="9", alpha_grid=["1.9", 1.95, "1.99"], d_grid=[2.0])
     assert cfg.seed == 9
-    assert cfg.alpha_grid == (1.9, 1.95)
+    assert cfg.alpha_grid == (1.9, 1.95, 1.99)
     assert cfg.d_grid == (2,)
     assert cfg.estimator == "sliced"
     assert base().alpha_grid == DEFAULT_ALPHA_GRID
@@ -93,6 +95,72 @@ def test_dimensions_must_be_integers():
         parse_config_text("d_grid = 1:4:3\n")
 
 
+def test_one_hash_per_value_spelling():
+    # counts are ints and real scalars floats, whatever spelling came in
+    assert (base(experiment="contraction", T=5).config_hash()
+            == base(experiment="contraction", T=5.0).config_hash())
+    assert (base(experiment="contraction", n_samples=512.0, n_steps="5000").config_hash()
+            == base(experiment="contraction", n_samples=512, n_steps=5000).config_hash())
+    cfg = base(experiment="transient", drift="custom", drift_param=0, burn_in=5, x_start=3,
+               n_bootstrap=4.0, alpha_grid=(1.9,))
+    assert [type(v) for v in (cfg.drift_param, cfg.burn_in, cfg.x_start, cfg.n_bootstrap)] \
+        == [float, float, float, int]
+    assert "burn_in=5.0" in cfg.key_values()
+    for kw in ({"n_samples": 100.5}, {"experiment": "contraction", "n_steps": 10.5},
+               {"seed": 1.5}, {"n_projections": "8.5"}):
+        name = [k for k in kw if k != "experiment"][0]
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {kw[name]}"):
+            base(**kw)
+
+
+def test_defaults_are_resolved_in_one_record():
+    r = base().resolved()
+    assert (r.n_samples, r.n_steps, r.T, r.burn_in) == (20_000_000, None, None, None)
+    assert base(estimator="assignment").resolved().n_samples == ASSIGNMENT_CAP
+    assert base(experiment="dim_sweep", alpha_grid=(1.9,), d_grid=(1, 2, 3)) \
+        .resolved().n_samples == 1_000_000
+    r = base(experiment="transient", alpha_grid=(1.9,)).resolved()
+    assert (r.n_samples, r.n_steps, r.T, r.burn_in) == (4096, 8000, 8.0, None)
+    # tanh with c = 0.5: theta1 = 1.5 shortens the step, theta0 = 0.5 sets the burn-in
+    r = base(experiment="transient", drift="custom", alpha_grid=(1.9,), T=2.0).resolved()
+    assert (r.n_steps, r.burn_in) == (3000, 20.0)
+    r = base(experiment="contraction").resolved()
+    assert (r.n_samples, r.n_steps, r.T) == (512, 5000, 5.0)
+    r = base(experiment="gradient_check").resolved()
+    assert (r.n_samples, r.n_steps, r.T) == (65_536, 1000, None)  # horizon 1, T unread
+    assert base(experiment="selftest").resolved() == base(experiment="selftest")
+    # explicit values are kept, and resolving twice changes nothing
+    r = base(experiment="contraction", n_samples=8, n_steps=10, T=0.5).resolved()
+    assert (r.n_samples, r.n_steps, r.T) == (8, 10, 0.5)
+    assert r.resolved() == r
+
+
+def test_default_and_explicit_spellings_are_one_config():
+    default = base(experiment="contraction")
+    explicit = base(experiment="contraction", n_samples=512, n_steps=5000, T=5.0)
+    assert default.config_hash() == explicit.config_hash()
+    assert default.key_values() == explicit.key_values()
+    # resolution is a view: replacing T recomputes the step count from it
+    moved = dataclasses.replace(default, T=2.0)
+    built = base(experiment="contraction", T=2.0)
+    assert moved.resolved().n_steps == built.resolved().n_steps == 2000
+    assert moved.config_hash() == built.config_hash() != default.config_hash()
+
+
+@pytest.mark.parametrize("kw, error, match", [
+    ({"estimator": "assignment", "n_samples": ASSIGNMENT_CAP + 1}, CapacityError,
+     "capped at n=4096.*use --estimator sliced"),
+    ({"alpha_grid": (1.9, 1.95, 2.0)}, ValueError, "need >= 3 alphas below 2"),
+    ({"experiment": "dim_sweep", "alpha_grid": (1.9,), "d_grid": (1, 2)}, ValueError,
+     "need >= 3 dimensions"),
+    ({"experiment": "dim_sweep", "alpha_grid": (2.0,), "d_grid": (1, 2, 3)}, ValueError,
+     "alpha < 2"),
+], ids=["assignment_cap", "alpha_sweep_grid", "dim_sweep_dims", "dim_sweep_alpha_two"])
+def test_runs_that_cannot_finish_are_refused_when_built(kw, error, match):
+    with pytest.raises(error, match=match):
+        base(**kw)
+
+
 def test_seed_is_mandatory():
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(experiment="selftest", seed=None)
@@ -157,7 +225,7 @@ def test_hash_stability_and_sensitivity():
     assert len(a.config_hash()) == 12
     assert base(seed=8).config_hash() != a.config_hash()
     assert base(estimator="assignment").config_hash() != a.config_hash()
-    assert base(alpha_grid=(1.9,)).config_hash() != a.config_hash()
+    assert base(alpha_grid=(1.9, 1.95, 1.99)).config_hash() != a.config_hash()
 
 
 def test_hash_ignores_output_path():

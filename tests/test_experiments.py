@@ -140,10 +140,10 @@ def test_csv_fields_with_commas_round_trip(tmp_path):
 
 
 def test_alpha_sweep_needs_three_points():
-    cfg = ExperimentConfig(experiment="alpha_sweep", seed=0, alpha_grid=(1.9,),
-                           n_samples=64, n_bootstrap=2)
-    with pytest.raises(ValueError):
-        run_alpha_sweep(cfg)
+    # refused when the config is built, not after the sampling
+    with pytest.raises(ValueError, match="need >= 3 alphas below 2"):
+        ExperimentConfig(experiment="alpha_sweep", seed=0, alpha_grid=(1.9,),
+                         n_samples=64, n_bootstrap=2)
 
 
 def test_alpha_sweep_small_n_floor():
@@ -196,10 +196,9 @@ def test_dim_sweep_rows_and_note():
 
 
 def test_dim_sweep_rejects_alpha_two():
-    cfg = ExperimentConfig(experiment="dim_sweep", seed=5, alpha_grid=(2.0,),
-                           d_grid=(1, 2, 3), n_samples=256)
-    with pytest.raises(ValueError, match="alpha"):
-        run_dim_sweep(cfg)
+    with pytest.raises(ValueError, match="dim_sweep needs alpha < 2"):
+        ExperimentConfig(experiment="dim_sweep", seed=5, alpha_grid=(2.0,),
+                         d_grid=(1, 2, 3), n_samples=256)
 
 
 def test_dim_sweep_d1_row_reproduces_alpha_sweep_point():
@@ -232,6 +231,19 @@ def test_transient_starts_exact_and_decays():
     assert np.all(res.times <= 1.0 + 1e-12)
 
 
+def test_short_transient_plateau_excludes_the_start_point():
+    # below T = 0.75 the last quarter of the grid would reach t = 0, where
+    # both clouds are point masses x_start apart
+    res = run_transient(ExperimentConfig(experiment="transient", seed=1, alpha_grid=(1.9,),
+                                         n_samples=64, T=0.2, n_bootstrap=4))
+    assert list(res.times) == [0.0, 0.2]
+    assert res.plateau == res.w1[-1] < res.w1[0]
+    assert res.plateau_se == res.stderr[-1]
+    res = run_transient(ExperimentConfig(experiment="transient", seed=1, alpha_grid=(1.9,),
+                                         n_samples=64, T=0.5, n_bootstrap=4))
+    assert res.plateau == pytest.approx(res.w1[1:].mean(), rel=1e-15)
+
+
 def test_transient_decay_rate_near_one():
     cfg = ExperimentConfig(experiment="transient", seed=6, alpha_grid=(1.9,),
                            d_grid=(1,), n_samples=256, n_bootstrap=4,
@@ -252,6 +264,22 @@ def test_contraction_rate_matches_euler_value():
     assert res.mean_gap[0] == pytest.approx(cfg.x_start, abs=1e-12)
     assert res.rate == pytest.approx(-math.log1p(-h) / h, rel=1e-6)
     assert np.all(np.diff(res.mean_gap) < 0)
+
+
+def test_default_contraction_runs_the_resolved_values(monkeypatch):
+    seen = []
+    real = experiments.integrate_coupled_ensemble
+
+    def spy(model, drift, X0, Y0, T, n_steps, rng, record_times):
+        seen.append((X0.shape[0], n_steps, T))
+        return real(model, drift, X0, Y0, T, n_steps, rng, record_times=record_times)
+
+    monkeypatch.setattr(experiments, "integrate_coupled_ensemble", spy)
+    cfg = ExperimentConfig(experiment="contraction", seed=3)
+    res = run_contraction(cfg)
+    r = cfg.resolved()
+    assert seen == [(512, 5000, 5.0)] == [(r.n_samples, r.n_steps, r.T)]
+    assert res.config_hash == r.config_hash() == cfg.config_hash()
 
 
 def test_gradient_check_bounded_by_gaussian_reference():
