@@ -12,6 +12,7 @@ configuration that produced it, whether a value was given or defaulted.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -85,7 +86,7 @@ class ExperimentConfig:
     experiment's default" (the rules of `EXPERIMENTS`); `resolved()` returns
     the record with those values filled in, and the hash is that record's,
     so leaving a field out and giving its default value are one config.
-    Counts are stored as ints and real scalars as floats, refusing a
+    Counts are stored as ints and real scalars as finite floats, refusing a
     non-integral count, so one value has one spelling.  The seed has no
     default on purpose: runs must be reproducible, so wall-clock seeding is
     not an option.
@@ -127,7 +128,10 @@ class ExperimentConfig:
         for name in ("drift_param", "T", "burn_in", "x_start"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, float(v))
+                v = float(v)
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v}")
+                object.__setattr__(self, name, v)
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "d_grid", tuple(_dimension(d) for d in self.d_grid))
         if not self.alpha_grid or not self.d_grid:

@@ -201,15 +201,20 @@ def w1_mean_norm_lower(X, Y) -> W1Estimate:
                       n_used=min(X.n, Y.n), stderr=float(np.sqrt(se)))
 
 
-def _resample_sorted(sorted_vals: np.ndarray, gen) -> np.ndarray:
-    """A bootstrap resample of a sorted scalar sample, returned sorted.
+def _resample_sorted(sorted_vals: np.ndarray, gen, out: np.ndarray) -> np.ndarray:
+    """A bootstrap resample of a sorted scalar sample, written sorted into out.
 
-    n iid uniform indices, counted per point, are an exact bootstrap draw;
-    repeating the sorted values by their counts gives the resample already
-    in order, so it needs no re-sort.  Counting the indices with bincount
-    costs a fraction of an equivalent multinomial draw."""
+    n iid uniform indices are an exact bootstrap draw.  Sorted in place, they
+    pick the sorted values in order, so the resample needs no re-sort: point j
+    appears as often as j was drawn, the same values as repeating each sorted
+    value by its count.  Sorting and taking release the GIL, so concurrent
+    resamples on other threads run alongside.  The drawn indices are in
+    range, so mode="clip" changes no value; it spares the temporary copy
+    that take's default mode makes of out."""
     n = sorted_vals.shape[0]
-    return np.repeat(sorted_vals, np.bincount(gen.integers(0, n, n), minlength=n))
+    idx = gen.integers(0, n, n)
+    idx.sort()
+    return np.take(sorted_vals, idx, out=out, mode="clip")
 
 
 def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
@@ -220,7 +225,10 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
     from rng), both clouds are independently resampled with replacement and
     the estimator recomputed per resample; the standard deviation across the
     resamples is returned.  Each resample draws the X indices, then the Y
-    indices, then the sliced directions, from one generator.
+    indices, then the sliced directions, from one generator.  In d = 1 every
+    tag but mean_norm_lower is the order-statistics formula, so each cloud is
+    sorted once and each resample takes its values at sorted indices
+    (`_resample_sorted`), which lets calls on different threads run at once.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
@@ -236,14 +244,15 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
             iy = gen.integers(0, Y.n, Y.n)
             vals[i] = abs(nx[ix].mean() - ny[iy].mean())
     elif X.d == 1:
-        # in one dimension every other estimator is the sorted order-statistics
-        # formula: sort once, then each resample is a counted draw of
-        # already-sorted values and one pass over a reused gap buffer
+        # the two value buffers belong to this call, not the module, so
+        # concurrent calls share no state
         sx = np.sort(X.points[:, 0])
         sy = np.sort(Y.points[:, 0])
         gap = np.empty_like(sx)
+        ry = np.empty_like(sy)
         for i in range(n_resamples):
-            np.subtract(_resample_sorted(sx, gen), _resample_sorted(sy, gen), out=gap)
+            np.subtract(_resample_sorted(sx, gen, gap), _resample_sorted(sy, gen, ry),
+                        out=gap)
             vals[i] = np.abs(gap, out=gap).mean()
     else:
         for i in range(n_resamples):

@@ -27,6 +27,12 @@ def test_bad_alpha_grid_is_argument_error(capsys):
     assert "argument error" in capsys.readouterr().err
 
 
+def test_infinite_horizon_is_argument_error(capsys):
+    # refused when the config is built, not by an overflow while resolving n_steps
+    assert main(["contraction", "--seed", "1", "--t-max", "inf"]) == 2
+    assert "argument error: T must be finite" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--seed", "1"])

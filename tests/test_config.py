@@ -42,7 +42,11 @@ def test_defaults_and_coercion():
     ({"drift": "custom", "burn_in": -1.0}, "burn_in must be positive"),
     ({"n_bootstrap": 1}, "n_bootstrap must be >= 2"),
     ({"n_projections": 0}, "n_projections must be >= 1"),
-], ids=[f"kw{i}" for i in range(13)])
+    ({"experiment": "contraction", "T": float("inf")}, "T must be finite"),
+    ({"drift": "custom", "burn_in": float("inf")}, "burn_in must be finite"),
+    ({"experiment": "contraction", "x_start": float("nan")}, "x_start must be finite"),
+    ({"drift": "custom", "drift_param": float("inf")}, "drift_param must be finite"),
+], ids=[f"kw{i}" for i in range(17)])
 def test_validation_rejects(kw, match):
     with pytest.raises(ValueError, match=match):
         base(**kw)

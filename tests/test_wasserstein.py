@@ -8,6 +8,7 @@ deliberately NOT checked against each other: in d >= 2 neither dominates.
 import itertools
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from stablegap import (
     w1_mean_norm_lower,
     w1_sliced,
 )
+from stablegap.wasserstein import _resample_sorted
 
 
 def brute_force_w1(X: np.ndarray, Y: np.ndarray) -> float:
@@ -227,7 +229,8 @@ def test_bootstrap_covers_every_estimator():
 @pytest.mark.parametrize("estimator", ["exact_1d", "sliced", "exact_assignment"])
 def test_bootstrap_1d_fast_path_matches_index_loop(estimator):
     # on sorted inputs an index into the sorted copy is an index into the
-    # input, so the counted fast path must equal the plain loop bit for bit
+    # input, and the fast path's sorted indices pick the same values in
+    # order, so it must equal the plain loop bit for bit
     n, R = 1000, 50
     gen = RngStream(41).generator()
     x = np.sort(gen.standard_normal(n))
@@ -237,6 +240,45 @@ def test_bootstrap_1d_fast_path_matches_index_loop(estimator):
     ref = [w1_exact_1d(x[g2.integers(0, n, n)], y[g2.integers(0, n, n)]).value
            for _ in range(R)]
     assert se == np.std(ref, ddof=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_resample_sorted_equals_count_and_repeat(n):
+    # the oracle is the count-and-repeat rule: repeat each sorted value by
+    # how often its index was drawn.  Ties among the values must not matter.
+    gen = RngStream(50).generator()
+    s = np.sort(np.round(gen.standard_normal(n)))
+    g_new, g_old = RngStream(51).generator(), RngStream(51).generator()
+    out = np.empty(n)
+    for _ in range(5):
+        got = _resample_sorted(s, g_new, out)
+        want = np.repeat(s, np.bincount(g_old.integers(0, n, n), minlength=n))
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    assert g_new.integers(0, 2**62) == g_old.integers(0, 2**62)
+
+
+def test_bootstrap_of_a_single_point_pair_is_exactly_zero():
+    # n = 1: every resample is the pair itself
+    assert bootstrap_stderr([0.5], [2.0], "exact_1d", n_resamples=10,
+                            rng=RngStream(52)) == 0.0
+
+
+def test_concurrent_1d_bootstraps_equal_serial_ones():
+    # parallel_map runs bootstraps on two threads; each call owns its buffers,
+    # so running two at once must not change a single bit
+    gen = RngStream(53).generator()
+    pairs = [(gen.standard_normal(20_000), gen.standard_normal(20_000) + 0.1),
+             (gen.standard_normal(30_000), 1.1 * gen.standard_normal(30_000))]
+
+    def se(i):
+        x, y = pairs[i]
+        return bootstrap_stderr(x, y, "exact_1d", n_resamples=40, rng=RngStream(60 + i))
+
+    serial = [se(i) for i in range(2)]
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(3):
+            assert list(pool.map(se, range(2), timeout=60)) == serial
 
 
 def test_bootstrap_1d_fast_path_has_the_index_loop_law():
