@@ -84,8 +84,7 @@ def _run(cfg: ExperimentConfig) -> int:
         for i, d in enumerate(res.dims):
             print(f"  d {d:<3d} exact lower {res.lower_exact[i]:.6e}  "
                   f"mean-norm {res.mean_norm[i]:.6e} +/- {res.mean_norm_se[i]:.1e}  "
-                  f"sliced {res.sliced[i]:.6e}  "
-                  f"assignment(small n) {res.assignment_small_n[i]:.6e}")
+                  f"sliced {res.sliced[i]:.6e}  radial {res.radial[i]:.6e}")
         _print_fit("growth vs d         ", res.fit_vs_d)
         _print_fit("growth vs d log(1+d)", res.fit_vs_dlogd)
         print(f"  note: {res.note}")

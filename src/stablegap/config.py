@@ -60,8 +60,14 @@ EXPERIMENTS = {
 }
 
 # --estimator name -> the wasserstein method tag it runs
-ESTIMATORS = {"assignment": "exact_assignment", "sliced": "sliced",
-              "mean-norm": "mean_norm_lower"}
+ESTIMATORS = {"assignment": "exact_assignment", "sliced": "sliced", "radial": "radial"}
+
+# Euler work cap: n_samples x n_steps of one ensemble, for the experiments
+# that read n_steps.  1e9 member-steps is 15x the largest default run
+# (gradient_check, 65536 x 1000) and, in d = 1, over 2 minutes of one thread
+# (140 ns per member-step at 4096 members on a 2-vCPU x86 VM); a run above
+# it is a mistyped T or n_steps, not a measurement.
+MEMBER_STEP_CAP = 10**9
 
 DRIFTS = ("ou", "custom")
 
@@ -136,6 +142,10 @@ class ExperimentConfig:
         object.__setattr__(self, "d_grid", tuple(_dimension(d) for d in self.d_grid))
         if not self.alpha_grid or not self.d_grid:
             raise ValueError("alpha_grid and d_grid must be nonempty")
+        for name in ("alpha_grid", "d_grid"):
+            grid = getattr(self, name)
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} repeats a value: {grid}")
         for a in self.alpha_grid:
             if not 1.0 < a <= 2.0:
                 raise ValueError(f"alpha values must lie in (1,2], got {a}")
@@ -178,12 +188,21 @@ class ExperimentConfig:
 
     def _refuse_runs_that_cannot_finish(self):
         """Refuse, before any sampling, a run whose fit or solver would
-        fail only after the work is done."""
+        fail only after the work is done, or whose Euler work is above
+        MEMBER_STEP_CAP."""
         if self.estimator == "assignment" and self.n_samples is not None \
                 and self.n_samples > ASSIGNMENT_CAP:
             raise CapacityError(f"assignment solver capped at n={ASSIGNMENT_CAP} (got "
                                 f"n_samples={self.n_samples}); use --estimator sliced "
                                 "for larger clouds")
+        if "n_steps" in EXPERIMENTS[self.experiment].reads.split():
+            # resolved() sets both counts, so its record's check does not recurse
+            r = self if None not in (self.n_samples, self.n_steps) else self.resolved()
+            if r.n_samples * r.n_steps > MEMBER_STEP_CAP:
+                raise CapacityError(
+                    f"{self.experiment} Euler work capped at {MEMBER_STEP_CAP:.0e} "
+                    f"member-steps per ensemble (got n_samples={r.n_samples} x "
+                    f"n_steps={r.n_steps}); lower n_samples, n_steps or T")
         if self.experiment == "alpha_sweep" and sum(a < 2.0 for a in self.alpha_grid) < 3:
             raise ValueError("alpha_sweep rate fits need >= 3 alphas below 2, got "
                              f"{self.alpha_grid}")

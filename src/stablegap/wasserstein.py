@@ -1,23 +1,28 @@
 """Wasserstein-1 estimation between empirical measures.
 
-Four estimators with different cost/validity tradeoffs:
+Five estimators with different cost/validity tradeoffs:
 
   w1_exact_1d        exact in d=1 via sorted order statistics, O(n log n)
   w1_assignment      exact in any d via optimal assignment, capped at 4096
   w1_sliced          max of projected 1-d distances: a certified LOWER bound
                      (every unit projection is a Lip(1) map)
+  w1_radial          the 1-d W1 of the norms, O(n log n) in any d: exact for
+                     rotationally invariant pairs (every OU pair), a
+                     certified LOWER bound otherwise (the norm is Lip(1))
   w1_mean_norm_lower |E|x| - E|y||: the norm is Lip(1), so this lower-bounds
-                     W1 directly from the dual formulation
+                     W1 directly from the dual formulation; never above
+                     w1_radial on the same clouds
 
-`w1_estimate` runs the estimator of a method tag.  The CLI's `--estimator`
-names map to the tags assignment -> exact_assignment, sliced -> sliced and
-mean-norm -> mean_norm_lower; an assignment run above ASSIGNMENT_CAP is
-refused when its config is built.  `bootstrap_stderr` is a separate call giving a
-standard error for any tag; only mean_norm_lower carries one itself.
+`w1_estimate` runs the estimator of a method tag; every tag needs two clouds
+of one dimension and one count, and refuses unequal counts.  The CLI's
+`--estimator` names map to the tags assignment -> exact_assignment, sliced ->
+sliced and radial -> radial; an assignment run above ASSIGNMENT_CAP is
+refused when its config is built.  `bootstrap_stderr` is a separate call
+giving a standard error for any tag; only w1_mean_norm_lower, which is not a
+tag, carries one itself.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +35,7 @@ from .rng import as_generator
 
 ASSIGNMENT_CAP = 4096
 
-_METHODS = ("exact_assignment", "exact_1d", "sliced", "mean_norm_lower")
+_METHODS = ("exact_assignment", "exact_1d", "sliced", "radial")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,65 +73,51 @@ class W1Estimate:
     stderr: Optional[float] = None
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if self.method not in _METHODS + ("mean_norm_lower",):
             raise ValueError(f"unknown method {self.method!r}")
         if self.value < 0:
             raise ValueError("W1 estimates are nonnegative")
 
 
-def _equalize(X: EmpiricalMeasure, Y: EmpiricalMeasure, rng=None):
-    """Exact estimators need equal sample counts; subsample the larger cloud
-    (without replacement) and warn, rather than rejecting outright."""
-    if X.n == Y.n:
-        return X, Y
-    warnings.warn(
-        f"unequal sample counts ({X.n} vs {Y.n}); subsampling the larger "
-        "cloud to match", stacklevel=4,
-    )
-    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
-    n = min(X.n, Y.n)
-    if X.n > n:
-        X = EmpiricalMeasure(points=X.points[gen.choice(X.n, size=n, replace=False)])
-    else:
-        Y = EmpiricalMeasure(points=Y.points[gen.choice(Y.n, size=n, replace=False)])
-    return X, Y
-
-
-def _inputs(method: str, X, Y, rng=None):
-    """The input rule of a method tag.  Both inputs become clouds of one
-    dimension; then exact_1d needs d = 1 and equal counts, sliced and
-    exact_assignment subsample the larger cloud (drawing from rng, with a
-    warning), and mean_norm_lower takes any counts."""
+def _clouds(X, Y):
+    """Both inputs as clouds of one dimension."""
     X, Y = (c if isinstance(c, EmpiricalMeasure) else EmpiricalMeasure(points=c)
             for c in (X, Y))
     if X.d != Y.d:
         raise ValueError(f"dimension mismatch: {X.d} vs {Y.d}")
-    if method in ("exact_assignment", "sliced"):
-        return _equalize(X, Y, rng)
-    if method == "exact_1d":
-        if X.d != 1:
-            raise ValueError(f"exact_1d needs d = 1, got d = {X.d}; "
-                             "use sliced or exact_assignment")
-        if X.n != Y.n:
-            raise ValueError(f"length mismatch: {X.n} vs {Y.n}")
-    elif method != "mean_norm_lower":
+    return X, Y
+
+
+def _inputs(method: str, X, Y):
+    """The input rule of a method tag: two clouds of one dimension and one
+    count.  exact_1d needs d = 1, and radial maps each cloud to its norms, a
+    d = 1 cloud of the same count."""
+    if method not in _METHODS:
         raise ValueError(f"unknown estimator {method!r}; choose from {_METHODS}")
+    X, Y = _clouds(X, Y)
+    if X.n != Y.n:
+        raise ValueError(f"length mismatch: {X.n} vs {Y.n}")
+    if method == "exact_1d" and X.d != 1:
+        raise ValueError(f"exact_1d needs d = 1, got d = {X.d}; "
+                         "use sliced or exact_assignment")
+    if method == "radial":
+        X, Y = (EmpiricalMeasure(points=np.linalg.norm(c.points, axis=1)) for c in (X, Y))
     return X, Y
 
 
 def w1_estimate(method: str, X, Y, n_projections: int = 64, rng=None) -> W1Estimate:
     """The estimator of a method tag on (X, Y); each estimator applies its
-    tag's input rule (`_inputs`).  rng draws the sliced directions and any
-    subsample of unequal clouds.  The estimators are looked up by name per
-    call, so a rebinding of them (a tracer's wrapper) is seen here."""
+    tag's input rule (`_inputs`).  rng draws the sliced directions.  The
+    estimators are looked up by name per call, so a rebinding of them (a
+    tracer's wrapper) is seen here."""
     if method == "exact_assignment":
-        return w1_assignment(X, Y, rng=rng)
+        return w1_assignment(X, Y)
     if method == "sliced":
         return w1_sliced(X, Y, n_projections, rng)
     if method == "exact_1d":
         return w1_exact_1d(X, Y)
-    if method == "mean_norm_lower":
-        return w1_mean_norm_lower(X, Y)
+    if method == "radial":
+        return w1_radial(X, Y)
     raise ValueError(f"unknown estimator {method!r}; choose from {_METHODS}")
 
 
@@ -139,14 +130,14 @@ def w1_exact_1d(X, Y) -> W1Estimate:
     return W1Estimate(value=value, method="exact_1d", n_used=X.n)
 
 
-def w1_assignment(X, Y, cap: int = ASSIGNMENT_CAP, rng=None) -> W1Estimate:
+def w1_assignment(X, Y, cap: int = ASSIGNMENT_CAP) -> W1Estimate:
     """Exact W1 between equal-size uniform clouds: (1/n) times the minimum
     assignment cost under Euclidean distance, any dimension.
 
     The dense solver is O(n^3)-ish; n above the cap raises CapacityError
     rather than silently burning hours (use w1_sliced beyond the cap).
     """
-    X, Y = _inputs("exact_assignment", X, Y, rng)
+    X, Y = _inputs("exact_assignment", X, Y)
     if X.n > cap:
         raise CapacityError(
             f"assignment solver capped at n={cap} (got {X.n}); "
@@ -174,7 +165,7 @@ def w1_sliced(X, Y, n_projections: int = 64, rng=None) -> W1Estimate:
     """
     if n_projections < 1:
         raise ValueError("n_projections must be >= 1")
-    X, Y = _inputs("sliced", X, Y, rng)
+    X, Y = _inputs("sliced", X, Y)
     if X.d == 1:
         value = w1_exact_1d(X, Y).value
         return W1Estimate(value=value, method="sliced", n_used=X.n)
@@ -184,11 +175,23 @@ def w1_sliced(X, Y, n_projections: int = 64, rng=None) -> W1Estimate:
     return W1Estimate(value=best, method="sliced", n_used=X.n)
 
 
+def w1_radial(X, Y) -> W1Estimate:
+    """Exact 1-d W1 between the norms of two equal-size clouds.
+
+    The norm is Lip(1), so this lower-bounds W1 in any dimension.  Between
+    rotationally invariant laws it is W1 itself: coupling the two radii
+    along one shared uniform direction moves each point by the gap of its
+    radii.  Its same-law floor shrinks like n^(-1/2) in every d, where the
+    assignment value's shrinks like n^(-1/d)."""
+    X, Y = _inputs("radial", X, Y)
+    return W1Estimate(value=w1_exact_1d(X, Y).value, method="radial", n_used=X.n)
+
+
 def w1_mean_norm_lower(X, Y) -> W1Estimate:
     """|mean |x| - mean |y||: the norm is Lip(1), so the gap between mean
     norms lower-bounds W1.  Sample counts may differ.  The standard error
     combines the two mean standard errors in quadrature."""
-    X, Y = _inputs("mean_norm_lower", X, Y)
+    X, Y = _clouds(X, Y)
     nx = np.linalg.norm(X.points, axis=1)
     ny = np.linalg.norm(Y.points, axis=1)
     value = float(abs(nx.mean() - ny.mean()))
@@ -221,29 +224,22 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
                      n_projections: int = 64) -> float:
     """Bootstrap standard error of a W1 estimator on a fixed pair of clouds.
 
-    After the estimator's input rule (applied once, drawing any subsample
-    from rng), both clouds are independently resampled with replacement and
-    the estimator recomputed per resample; the standard deviation across the
-    resamples is returned.  Each resample draws the X indices, then the Y
-    indices, then the sliced directions, from one generator.  In d = 1 every
-    tag but mean_norm_lower is the order-statistics formula, so each cloud is
-    sorted once and each resample takes its values at sorted indices
-    (`_resample_sorted`), which lets calls on different threads run at once.
+    After the estimator's input rule (applied once), both clouds are
+    independently resampled with replacement and the estimator recomputed
+    per resample; the standard deviation across the resamples is returned.
+    Each resample draws the X indices, then the Y indices, then the sliced
+    directions, from one generator.  In d = 1 every tag is the
+    order-statistics formula, and radial's input rule has already reduced
+    its clouds to their norms, so each cloud is sorted once and each
+    resample takes its values at sorted indices (`_resample_sorted`), which
+    lets calls on different threads run at once.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
     gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
-    X, Y = _inputs(estimator, X, Y, gen)
+    X, Y = _inputs(estimator, X, Y)
     vals = np.empty(n_resamples)
-    if estimator == "mean_norm_lower":
-        # the estimator only sees the norms, so resample those directly
-        nx = np.linalg.norm(X.points, axis=1)
-        ny = np.linalg.norm(Y.points, axis=1)
-        for i in range(n_resamples):
-            ix = gen.integers(0, X.n, X.n)
-            iy = gen.integers(0, Y.n, Y.n)
-            vals[i] = abs(nx[ix].mean() - ny[iy].mean())
-    elif X.d == 1:
+    if X.d == 1:
         # the two value buffers belong to this call, not the module, so
         # concurrent calls share no state
         sx = np.sort(X.points[:, 0])

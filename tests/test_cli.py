@@ -134,10 +134,36 @@ def test_out_csv_carries_config_hash(tmp_path, capsys):
 def test_steps_and_estimator_flags(capsys):
     code = main(["transient", "--seed", "6", "--samples", "32",
                  "--t-max", "1.0", "--steps", "200", "--alpha", "1.9",
-                 "--estimator", "mean-norm"])
+                 "--estimator", "radial"])
     assert code == 0
     out = capsys.readouterr().out
     assert "transient curve" in out and "plateau" in out
+
+
+def test_removed_mean_norm_estimator_is_argument_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["alpha-sweep", "--seed", "1", "--alpha", "1.8,1.9,1.95",
+              "--samples", "64", "--estimator", "mean-norm"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mean-norm'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, sampler, match", [
+    (["dim-sweep", "--alpha", "1.9", "--dim", "2,2,2", "--samples", "1000"],
+     "ou_stationary_sample", "d_grid repeats a value: (2, 2, 2)"),
+    (["alpha-sweep", "--alpha", "1.9,1.9,1.9"],
+     "ou_stationary_sample", "alpha_grid repeats a value: (1.9, 1.9, 1.9)"),
+    (["transient", "--alpha", "1.9", "--t-max", "1e6"],
+     "integrate_ensemble", "transient Euler work capped at 1e+09 member-steps"),
+], ids=["dim_grid_repeats", "alpha_grid_repeats", "transient_euler_work"])
+def test_degenerate_or_unbounded_runs_are_refused_before_work(argv, sampler, match,
+                                                               monkeypatch, capsys):
+    def spy(*args, **kwargs):
+        raise AssertionError("worked before the config check")
+
+    monkeypatch.setattr(experiments, sampler, spy)
+    assert main(argv + ["--seed", "1"]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_drift_flag_reaches_config(capsys):

@@ -11,6 +11,7 @@ from stablegap import (
     load_config,
     parse_config_text,
 )
+from stablegap.config import MEMBER_STEP_CAP
 
 
 def base(**kw):
@@ -82,7 +83,7 @@ def test_fields_read_or_left_at_default_are_accepted():
     base(experiment="selftest", alpha_grid=DEFAULT_ALPHA_GRID, d_grid=(1,))
     base(experiment="transient", drift="custom", drift_param=0.3, burn_in=5.0,
          alpha_grid=(1.9,), d_grid=(2,), n_steps=10, T=1.0, x_start=3.0,
-         estimator="mean-norm", n_bootstrap=4, n_projections=8, n_samples=64)
+         estimator="radial", n_bootstrap=4, n_projections=8, n_samples=64)
     base(experiment="dim_sweep", drift="custom", burn_in=5.0, alpha_grid=(1.9,),
          d_grid=(1, 2, 3), n_projections=8)
     base(experiment="gradient_check", drift="custom", drift_param=0.2,
@@ -159,10 +160,33 @@ def test_default_and_explicit_spellings_are_one_config():
      "need >= 3 dimensions"),
     ({"experiment": "dim_sweep", "alpha_grid": (2.0,), "d_grid": (1, 2, 3)}, ValueError,
      "alpha < 2"),
-], ids=["assignment_cap", "alpha_sweep_grid", "dim_sweep_dims", "dim_sweep_alpha_two"])
+    # a repeated value passed the ">= 3" counts and fitted a line on one x value
+    ({"alpha_grid": (1.9, 1.9, 1.9)}, ValueError,
+     r"alpha_grid repeats a value: \(1.9, 1.9, 1.9\)"),
+    ({"experiment": "dim_sweep", "alpha_grid": (1.9,), "d_grid": (2, 3, 2)}, ValueError,
+     r"d_grid repeats a value: \(2, 3, 2\)"),
+    # 4096 members x 1e9 default steps, and 512 default members x 1e12 steps
+    ({"experiment": "transient", "alpha_grid": (1.9,), "T": 1e6}, CapacityError,
+     r"transient Euler work capped at 1e\+09 member-steps.*n_steps=1000000000"),
+    ({"experiment": "contraction", "n_steps": 10**12}, CapacityError,
+     "contraction Euler work capped.*n_samples=512 x n_steps=1000000000000"),
+], ids=["assignment_cap", "alpha_sweep_grid", "dim_sweep_dims", "dim_sweep_alpha_two",
+        "alpha_grid_repeats", "d_grid_repeats", "transient_euler_work",
+        "contraction_euler_work"])
 def test_runs_that_cannot_finish_are_refused_when_built(kw, error, match):
     with pytest.raises(error, match=match):
         base(**kw)
+
+
+def test_euler_work_cap_is_on_the_product_per_ensemble():
+    base(experiment="contraction", n_samples=1, n_steps=MEMBER_STEP_CAP)
+    base(experiment="gradient_check", n_samples=MEMBER_STEP_CAP // 1000)  # 1000 steps
+    with pytest.raises(CapacityError, match="Euler work capped"):
+        base(experiment="contraction", n_samples=1, n_steps=MEMBER_STEP_CAP + 1)
+    with pytest.raises(CapacityError, match="Euler work capped"):
+        base(experiment="gradient_check", n_samples=MEMBER_STEP_CAP // 1000 + 1)
+    # experiments that take no Euler steps are not capped by it
+    base(n_samples=MEMBER_STEP_CAP + 1)
 
 
 def test_seed_is_mandatory():

@@ -2,12 +2,13 @@
 
 The assignment solver is checked against the exhaustive permutation minimum
 on small instances; the 1-d sort formula against the solver; and the two
-lower-bound proxies against their defining inequalities.  The proxies are
-deliberately NOT checked against each other: in d >= 2 neither dominates.
+lower-bound proxies against their defining inequalities.  The mean-norm and
+sliced proxies are deliberately NOT checked against each other: in d >= 2
+neither dominates.  Radial is checked against both ends of its own chain,
+mean-norm <= radial <= assignment.
 """
 import itertools
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,9 +29,14 @@ from stablegap import (
     w1_estimate,
     w1_exact_1d,
     w1_mean_norm_lower,
+    w1_radial,
     w1_sliced,
 )
+from stablegap.config import ESTIMATORS
 from stablegap.wasserstein import _resample_sorted
+
+# every method tag: each CLI estimator's tag, plus exact_1d
+TAGS = sorted(set(ESTIMATORS.values()) | {"exact_1d"})
 
 
 def brute_force_w1(X: np.ndarray, Y: np.ndarray) -> float:
@@ -141,6 +147,36 @@ def test_lower_bounds_sit_below_exact_value():
         assert w1_sliced(X, Y, n_projections=32, rng=RngStream(26)).value <= hi + 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_sits_between_mean_norm_and_assignment(d):
+    # on identical clouds: |E|x| - E|y|| <= W1 of the norms (1-d duality)
+    # <= W1 of the clouds (the norm is Lip(1))
+    gen = RngStream(61).generator()
+    for _ in range(10):
+        X = gen.standard_normal((96, d))
+        Y = 1.3 * gen.standard_normal((96, d)) + 0.2
+        lo = w1_mean_norm_lower(X, Y).value
+        mid = w1_radial(X, Y).value
+        hi = w1_assignment(X, Y).value
+        assert lo <= mid + 1e-12 and mid <= hi + 1e-12
+
+
+def test_radial_is_exact_1d_of_the_norms():
+    gen = RngStream(62).generator()
+    X, Y = gen.standard_normal((500, 3)), 1.2 * gen.standard_normal((500, 3))
+    est = w1_radial(X, Y)
+    ref = w1_exact_1d(np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1))
+    assert (est.method, est.n_used, est.stderr) == ("radial", 500, None)
+    assert est.value == ref.value
+    # in d = 1 the norms are the absolute values
+    x, y = gen.standard_normal(400), gen.standard_normal(400) - 0.5
+    assert w1_radial(x, y).value == w1_exact_1d(np.abs(x), np.abs(y)).value
+    # a sphere scaled by 2: every radius moves by exactly 1, which is W1
+    v = gen.standard_normal((256, 3))
+    S = v / np.linalg.norm(v, axis=1, keepdims=True)
+    assert w1_radial(S, 2.0 * S).value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_lower_bounds_not_mutually_ordered_in_higher_d():
     # radial counterexample: Y = 2X on the unit sphere; the norm functional
     # sees the full radial move (gap 1) while every 1-d projection of a d=3
@@ -156,6 +192,10 @@ def test_lower_bounds_not_mutually_ordered_in_higher_d():
     assert lo_sliced < 0.7 * lo_norm
     # both remain valid lower bounds for the exact distance, which is 1 here
     assert w1_assignment(X, Y).value == pytest.approx(1.0, abs=1e-12)
+    # and one direction can beat the norm: Y = -X moves no radius
+    X = gen.standard_normal((512, 3)) + np.array([1.0, 0.0, 0.0])
+    assert w1_radial(X, -X).value == 0.0
+    assert w1_sliced(X, -X, n_projections=64, rng=RngStream(28)).value > 1.0
 
 
 def test_sliced_d1_single_projection_equals_exact():
@@ -191,14 +231,6 @@ def test_assignment_cap_raises_capacity_error():
         w1_assignment(np.zeros((10, 1)), np.zeros((10, 1)), cap=8)
 
 
-def test_assignment_subsamples_unequal_counts_with_warning():
-    gen = RngStream(34).generator()
-    X, Y = gen.standard_normal((50, 2)), gen.standard_normal((80, 2))
-    with pytest.warns(UserWarning, match="unequal"):
-        est = w1_assignment(X, Y, rng=RngStream(35))
-    assert est.n_used == 50
-
-
 def test_bootstrap_stderr_deterministic_and_shrinking():
     gen = RngStream(36).generator()
     small_x, small_y = gen.standard_normal(256), gen.standard_normal(256) + 0.3
@@ -216,13 +248,10 @@ def test_bootstrap_stderr_deterministic_and_shrinking():
 def test_bootstrap_covers_every_estimator():
     gen = RngStream(39).generator()
     X, Y = gen.standard_normal((128, 2)), gen.standard_normal((128, 2)) + 0.4
-    for estimator, kwargs in (("exact_assignment", {}),
-                              ("sliced", {"n_projections": 8}),
-                              ("mean_norm_lower", {}),
-                              ("exact_1d", {})):
+    for estimator in TAGS:
         A, B = (X[:, 0], Y[:, 0]) if estimator == "exact_1d" else (X, Y)
         se = bootstrap_stderr(A, B, estimator, n_resamples=50,
-                              rng=RngStream(40), **kwargs)
+                              rng=RngStream(40), n_projections=8)
         assert se > 0 and math.isfinite(se)
 
 
@@ -297,20 +326,23 @@ def test_bootstrap_1d_fast_path_has_the_index_loop_law():
     assert se == pytest.approx(np.std(ref, ddof=1), rel=0.2)
 
 
-def test_bootstrap_mean_norm_matches_cloud_loop():
-    # resampling the precomputed norms must give what rebuilding both
-    # resampled clouds and rerunning the estimator gives, bit for bit
+def test_bootstrap_radial_matches_norm_loop():
+    # radial resamples the norms through the d = 1 sorted path.  With the
+    # rows ordered by norm, an index into the sorted norms is an index into
+    # the norms, so it must equal the plain loop over the norms bit for bit,
+    # drawing the X indices, then the Y indices
+    n, R = 300, 60
     gen = RngStream(46).generator()
-    X, Y = gen.standard_normal((300, 3)), 1.2 * gen.standard_normal((200, 3))
-    R = 60
-    se = bootstrap_stderr(X, Y, "mean_norm_lower", n_resamples=R, rng=RngStream(47))
+    X, Y = gen.standard_normal((n, 3)), 1.2 * gen.standard_normal((n, 3))
+    X, Y = (C[np.argsort(np.linalg.norm(C, axis=1))] for C in (X, Y))
+    nx, ny = np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)
+    se = bootstrap_stderr(X, Y, "radial", n_resamples=R, rng=RngStream(47))
     g2 = RngStream(47).generator()
     ref = []
     for _ in range(R):
-        ix = g2.integers(0, 300, 300)
-        iy = g2.integers(0, 200, 200)
-        ref.append(w1_mean_norm_lower(EmpiricalMeasure(points=X[ix]),
-                                      EmpiricalMeasure(points=Y[iy])).value)
+        ix = g2.integers(0, n, n)
+        iy = g2.integers(0, n, n)
+        ref.append(w1_exact_1d(nx[ix], ny[iy]).value)
     assert se == np.std(ref, ddof=1)
 
 
@@ -346,18 +378,16 @@ def test_bootstrap_general_loop_matches_plain_loop(estimator, plain, d):
     assert se == np.std(ref, ddof=1)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("estimator, w1", [("sliced", w1_sliced),
-                                           ("exact_assignment", w1_assignment)])
-def test_bootstrap_subsamples_unequal_clouds_like_its_estimator(estimator, w1, d):
+@pytest.mark.parametrize("tag", TAGS)
+def test_every_tag_refuses_unequal_counts(tag):
+    # no estimator subsamples: the estimate and its bootstrap both refuse
+    d = 1 if tag == "exact_1d" else 2
     gen = RngStream(50).generator()
     X, Y = gen.standard_normal((100, d)), gen.standard_normal((120, d)) + 0.3
-    with pytest.warns(UserWarning, match="unequal"):
-        est = w1(X, Y, rng=RngStream(51))
-    with pytest.warns(UserWarning, match="unequal"):
-        se = bootstrap_stderr(X, Y, estimator, n_resamples=20, rng=RngStream(52))
-    assert est.n_used == 100
-    assert se > 0 and math.isfinite(se)
+    with pytest.raises(ValueError, match="length mismatch: 100 vs 120"):
+        w1_estimate(tag, X, Y, rng=RngStream(51))
+    with pytest.raises(ValueError, match="length mismatch: 100 vs 120"):
+        bootstrap_stderr(X, Y, tag, n_resamples=20, rng=RngStream(52))
 
 
 def test_w1_estimate_runs_the_estimator_of_each_tag():
@@ -366,11 +396,12 @@ def test_w1_estimate_runs_the_estimator_of_each_tag():
     x, y = X[:, 0], Y[:, 0]
     assert w1_estimate("exact_assignment", X, Y) == w1_assignment(X, Y)
     assert w1_estimate("exact_1d", x, y) == w1_exact_1d(x, y)
-    assert w1_estimate("mean_norm_lower", X, Y) == w1_mean_norm_lower(X, Y)
+    assert w1_estimate("radial", X, Y) == w1_radial(X, Y)
     assert (w1_estimate("sliced", X, Y, n_projections=5, rng=RngStream(58))
             == w1_sliced(X, Y, n_projections=5, rng=RngStream(58)))
-    with pytest.raises(ValueError, match="unknown estimator"):
-        w1_estimate("nonsense", X, Y)
+    for tag in ("nonsense", "mean_norm_lower"):
+        with pytest.raises(ValueError, match="unknown estimator"):
+            w1_estimate(tag, X, Y)
 
 
 def test_bootstrap_rejects_bad_args():
