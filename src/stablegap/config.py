@@ -64,9 +64,11 @@ ESTIMATORS = {"assignment": "exact_assignment", "sliced": "sliced", "radial": "r
 
 # Euler work cap: n_samples x n_steps of one ensemble, for the experiments
 # that read n_steps.  1e9 member-steps is 15x the largest default run
-# (gradient_check, 65536 x 1000) and, in d = 1, over 2 minutes of one thread
-# (140 ns per member-step at 4096 members on a 2-vCPU x86 VM); a run above
-# it is a mistyped T or n_steps, not a measurement.
+# (gradient_check, 65536 x 1000) and, in d = 1, about 1.5-2 minutes of one
+# thread (85-120 ns per member-step at 4096 members and alpha = 1.9 on a
+# 2-vCPU x86 VM, whose speed varies with the host's load; 60-70 ns of wall
+# time with the draw-ahead helper); a run above it is a mistyped T or
+# n_steps, not a measurement.
 MEMBER_STEP_CAP = 10**9
 
 DRIFTS = ("ou", "custom")
@@ -188,8 +190,8 @@ class ExperimentConfig:
 
     def _refuse_runs_that_cannot_finish(self):
         """Refuse, before any sampling, a run whose fit or solver would
-        fail only after the work is done, or whose Euler work is above
-        MEMBER_STEP_CAP."""
+        fail only after the work is done, whose Euler work is above
+        MEMBER_STEP_CAP, or whose summary would compare a row with itself."""
         if self.estimator == "assignment" and self.n_samples is not None \
                 and self.n_samples > ASSIGNMENT_CAP:
             raise CapacityError(f"assignment solver capped at n={ASSIGNMENT_CAP} (got "
@@ -206,6 +208,9 @@ class ExperimentConfig:
         if self.experiment == "alpha_sweep" and sum(a < 2.0 for a in self.alpha_grid) < 3:
             raise ValueError("alpha_sweep rate fits need >= 3 alphas below 2, got "
                              f"{self.alpha_grid}")
+        if self.experiment == "gradient_check" and 2.0 in self.alpha_grid:
+            raise ValueError("gradient_check adds the alpha = 2 reference itself; leave 2.0 "
+                             f"out of alpha_grid, got {self.alpha_grid}")
         if self.experiment == "dim_sweep":
             if len(self.d_grid) < 3:
                 raise ValueError(f"dim_sweep growth fits need >= 3 dimensions, got {self.d_grid}")

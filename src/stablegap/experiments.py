@@ -20,7 +20,7 @@ import numpy as np
 from .config import ESTIMATORS, EXPERIMENTS, ExperimentConfig, euler_step
 from .errors import InvariantError
 from .ou import OuLaw, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
-from .rng import RngStream
+from .rng import RngStream, worker_count
 from .sampling import StableModel, sample_subordinator_increment
 from .sde import DriftSpec, ergodic_sample, integrate_coupled_ensemble, integrate_ensemble
 from .specfun import crate_bound_fit, ratio_minus_one
@@ -36,20 +36,6 @@ from .wasserstein import (
 )
 
 X_TRANSFORMS = ("log_2ma", "log_2ma_loglog", "log_d", "log_dlogd")
-
-
-def worker_count() -> int:
-    """Worker cap from STABLEGAP_THREADS (defaults to the CPU count)."""
-    raw = os.environ.get("STABLEGAP_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"STABLEGAP_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ValueError(f"STABLEGAP_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 def parallel_map(fn, items):
@@ -395,23 +381,27 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     x0[0] = cfg.x_start
     X0 = np.tile(x0, (n, 1))
     Y0 = np.zeros((n, d))
-    _, snaps_x = integrate_ensemble(
-        StableModel(d=d, alpha=alpha), drift, X0, T, cfg.n_steps,
-        derive_stream(cfg.seed, "transient", "stable", d, alpha, n),
-        record_times=times)
-    _, snaps_y = integrate_ensemble(
-        StableModel(d=d, alpha=2.0), drift, Y0, T, cfg.n_steps,
-        derive_stream(cfg.seed, "transient", "gauss", d, alpha, n),
-        record_times=times)
 
-    def one(i):
+    def ensemble(job):
+        a, noise, start = job
+        return integrate_ensemble(
+            StableModel(d=d, alpha=a), drift, start, T, cfg.n_steps,
+            derive_stream(cfg.seed, "transient", noise, d, alpha, n),
+            record_times=times)[1]
+
+    snaps_x, snaps_y = parallel_map(ensemble, [(alpha, "stable", X0), (2.0, "gauss", Y0)])
+
+    def estimate(i):
+        if i is None:  # the stationary reference at the same alpha, n and estimator
+            Xs, Ys = _stationary_pair(d, alpha, n, cfg)
+            return _estimate_pair(Xs, Ys, cfg,
+                                  derive_stream(cfg.seed, "transient_stat", d, alpha, n))
         stream = derive_stream(cfg.seed, "transient_est", d, alpha, n, times[i])
-        est, se = _estimate_pair(snaps_x[i], snaps_y[i], cfg, stream)
-        return est.value, se
+        return _estimate_pair(snaps_x[i], snaps_y[i], cfg, stream)
 
-    results = parallel_map(one, range(len(times)))
-    w1 = np.array([r[0] for r in results])
-    stderr = np.array([r[1] for r in results])
+    (st_est, st_se), *results = parallel_map(estimate, [None, *range(len(times))])
+    w1 = np.array([est.value for est, _ in results])
+    stderr = np.array([se for _, se in results])
     times = np.array(times)
 
     # plateau: average of the final quarter of the curve (at least 3 points,
@@ -419,11 +409,6 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     k = min(max(3, len(times) // 4), len(times) - 1)
     plateau = float(w1[-k:].mean())
     plateau_se = float(np.sqrt(np.mean(stderr[-k:] ** 2) / k))
-
-    # stationary reference at the same alpha, n and estimator
-    Xs, Ys = _stationary_pair(d, alpha, n, cfg)
-    st_est, st_se = _estimate_pair(
-        Xs, Ys, cfg, derive_stream(cfg.seed, "transient_stat", d, alpha, n))
 
     # early decay: fit log(W1) on rows clearly above the plateau
     early = w1 > max(5.0 * plateau, 1e-12)

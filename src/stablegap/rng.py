@@ -3,10 +3,12 @@
 A stream is identified by (seed, stream_id).  The same pair always yields the
 same sample sequence, and distinct stream_ids give statistically independent
 streams from a counter-based generator, so Monte Carlo work can be fanned out
-over streams and recombined deterministically.
+over streams and recombined deterministically.  `worker_count` is the one
+cap on the threads that work is fanned out over; results never depend on it.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,3 +52,17 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
+
+
+def worker_count() -> int:
+    """Worker cap from STABLEGAP_THREADS (defaults to the CPU count)."""
+    raw = os.environ.get("STABLEGAP_THREADS", "").strip()
+    if raw:
+        try:
+            n = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"STABLEGAP_THREADS must be an integer, got {raw!r}") from exc
+        if n < 1:
+            raise ValueError(f"STABLEGAP_THREADS must be >= 1, got {n}")
+        return n
+    return os.cpu_count() or 1

@@ -9,6 +9,11 @@ time whose Laplace transform is
 S is sampled by Kanter's representation of the standard one-sided stable law
 and then rescaled.  No jump truncation anywhere: the heavy tail is carried
 exactly by the subordinator draw.
+
+Each increment is made in two phases: the generator calls (`draw_noise`),
+then an elementwise, in-place transform of their output
+(`noise_increments`).  The samplers below run both at once; the Euler
+stepper runs the draws of whole blocks of steps ahead of the transforms.
 """
 from __future__ import annotations
 
@@ -56,30 +61,95 @@ class StableModel:
         return self.alpha == 2.0
 
 
-def _kanter_onesided(beta: float, n: int, gen: np.random.Generator) -> np.ndarray:
-    """n draws of the standard one-sided beta-stable law, beta in (0,1),
-    normalized so that E exp(-lam T) = exp(-lam^beta).
+def _kanter_draws(n: int, gen: np.random.Generator):
+    """The generator calls of n Kanter draws, in stream order: U ~
+    Uniform(0, pi), then E ~ Exp(1).  U = 0 (which the half-open uniform
+    can return) makes a(U) 0/0 in `_subordinator`; it raises
+    InvariantError here instead of passing NaN on."""
+    u = gen.uniform(0.0, np.pi, size=n)
+    if not u.all():
+        raise InvariantError("Kanter subordinator draw hit U = 0 (a(U) is 0/0)")
+    return u, gen.standard_exponential(size=n)
 
-    Kanter's representation: with U ~ Uniform(0,pi) and E ~ Exp(1),
+
+def _subordinator(alpha: float, dt, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """S_dt = c T from Kanter draws (u, e), overwriting both.
+
+    T is the standard one-sided beta-stable law, beta = alpha/2 in (0,1),
+    normalized so that E exp(-lam T) = exp(-lam^beta).  Kanter's
+    representation, with U ~ Uniform(0,pi) and E ~ Exp(1):
 
         T = (a(U)/E)^((1-beta)/beta),
         a(u) = [sin(beta u)^beta sin((1-beta) u)^(1-beta) / sin(u)]^(1/(1-beta)).
 
     Evaluated in log-space: near beta -> 1 the exponent (1-beta)/beta makes
-    the direct form overflow while the log form stays tame.  U = 0 (which
-    the half-open uniform can return) makes a(U) 0/0; it raises
-    InvariantError instead of passing NaN on.
+    the direct form overflow while the log form stays tame.  The scale is
+    c = 2 (dt/2)^(2/alpha) (see `sample_subordinator_increment`).  Every
+    operation runs in place, in the order of the textbook expression, so
+    the result is bit-equal to evaluating it with temporaries.
     """
-    u = gen.uniform(0.0, np.pi, size=n)
-    if not u.all():
-        raise InvariantError("Kanter subordinator draw hit U = 0 (a(U) is 0/0)")
-    e = gen.standard_exponential(size=n)
-    log_a = (
-        beta * np.log(np.sin(beta * u))
-        + (1.0 - beta) * np.log(np.sin((1.0 - beta) * u))
-        - np.log(np.sin(u))
-    ) / (1.0 - beta)
-    return np.exp(((1.0 - beta) / beta) * (log_a - np.log(e)))
+    beta = 0.5 * alpha
+    b1 = 1.0 - beta
+    log_a = np.multiply(beta, u)
+    np.log(np.sin(log_a, out=log_a), out=log_a)
+    log_a *= beta
+    t = np.multiply(b1, u)
+    np.log(np.sin(t, out=t), out=t)
+    t *= b1
+    log_a += t
+    log_a -= np.log(np.sin(u, out=u), out=u)
+    log_a /= b1
+    log_a -= np.log(e, out=e)
+    log_a *= b1 / beta
+    s = np.exp(log_a, out=log_a)
+    s *= 2.0 * (dt / 2.0) ** (2.0 / alpha)
+    return s
+
+
+def _scale_gaussian(model: StableModel, dt, s, g: np.ndarray) -> np.ndarray:
+    """sigma (sqrt(S) G) from subordinator draws s of shape (..., n) and
+    standard Gaussian draws g of shape (..., n, d), or sigma sqrt(dt) G at
+    alpha = 2 (s is None), in place on s and g.  sigma is applied as one
+    (n, d) @ (d, d) product per step: a bigger product may sum in another
+    order."""
+    if s is None:
+        g *= np.sqrt(dt)
+    else:
+        g *= np.sqrt(s, out=s)[..., None]
+    if not model._sigma_is_identity:
+        for step in g.reshape(-1, *g.shape[-2:]):
+            step[...] = step @ model.sigma.T
+    return g
+
+
+def draw_noise(model: StableModel, n: int, gen: np.random.Generator, steps: int):
+    """Draw phase: the raw generator output of `steps` consecutive
+    increments of n members, as arrays (u, e, g) of shapes (steps, n),
+    (steps, n) and (steps, n, d).  Each step makes the calls of
+    `sample_stable_increment(model, dt, gen, size=n)`, in its order and
+    sizes: Kanter's U and E (u = e = None at alpha = 2), then the (n, d)
+    standard Gaussian.  The increments never depend on the state, so these
+    calls can run ahead of the stepper that uses them."""
+    g = np.empty((steps, n, model.d))
+    if model.is_brownian:
+        for step in g:
+            gen.standard_normal(out=step)
+        return None, None, g
+    u, e = np.empty((2, steps, n))
+    for k in range(steps):
+        u[k], e[k] = _kanter_draws(n, gen)
+        gen.standard_normal(out=g[k])
+    return u, e, g
+
+
+def noise_increments(model: StableModel, dt, raw) -> np.ndarray:
+    """Transform phase: the (steps, n, d) increments over dt from the draws
+    of `draw_noise`, overwriting them.  Every operation is elementwise, so
+    each step is bit-equal to `sample_stable_increment` on the same
+    stream."""
+    u, e, g = raw
+    s = None if model.is_brownian else _subordinator(model.alpha, dt, u, e)
+    return _scale_gaussian(model, dt, s, g)
 
 
 def sample_subordinator_increment(alpha, dt, rng, size=None):
@@ -102,8 +172,7 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     if alpha == 2.0:
         out = np.full(n, float(dt))
     else:
-        c = 2.0 * (dt / 2.0) ** (2.0 / alpha)
-        out = c * _kanter_onesided(0.5 * alpha, n, as_generator(rng))
+        out = _subordinator(alpha, dt, *_kanter_draws(n, as_generator(rng)))
     return float(out[0]) if size is None else out
 
 
@@ -119,13 +188,9 @@ def sample_stable_increment(model: StableModel, dt, rng, size=None):
         raise ValueError(f"dt must be positive, got {dt}")
     gen = as_generator(rng)
     n = 1 if size is None else int(size)
-    if model.is_brownian:
-        inc = np.sqrt(dt) * gen.standard_normal((n, model.d))
-    else:
-        s = sample_subordinator_increment(model.alpha, dt, gen, size=n)
-        inc = np.sqrt(s)[:, None] * gen.standard_normal((n, model.d))
-    if not model._sigma_is_identity:
-        inc = inc @ model.sigma.T
+    s = None if model.is_brownian else \
+        sample_subordinator_increment(model.alpha, dt, gen, size=n)
+    inc = _scale_gaussian(model, dt, s, gen.standard_normal((n, model.d)))
     return inc[0] if size is None else inc
 
 

@@ -8,17 +8,27 @@ The scheme is explicit Euler with exact noise increments per step, run by
 one stepper (`_euler`) behind every integrator; there is no discretization
 theory to lean on for the stable case, so tests rely on step-halving
 self-consistency where no closed form exists.
+
+The increments never depend on the state, so the stepper draws them one
+block of steps ahead (`sampling.draw_noise`) on a helper thread while it
+transforms (`sampling.noise_increments`) and steps through the current block.
+The generator calls keep their order and sizes and every transform is
+elementwise, so the paths are bit-equal to drawing each increment with
+`sample_stable_increment` at its step, whatever the thread count.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .rng import as_generator
-from .sampling import StableModel, sample_stable_increment
+from .rng import as_generator, worker_count
+from .sampling import StableModel, draw_noise, noise_increments
 # the benchmark's tracer (perfbench/tracing.py) wraps this binding
 from .sampling import sample_subordinator_increment  # noqa: F401
 from .wasserstein import EmpiricalMeasure
@@ -26,6 +36,20 @@ from .wasserstein import EmpiricalMeasure
 OVERFLOW_LIMIT = 1e12  # heavy tails can launch a path astronomically far
 
 _H1_CHECK_PAIRS = 10_000
+
+# Raw draws per draw-ahead block: 10 steps at n = 4096, d = 1 and 1 step at
+# n = 65536.  Set by timing the n = 4096, d = 1, alpha = 1.9 ensemble with
+# a helper on a 2-vCPU x86 VM (2000 steps, median of 4): blocks of 1 and
+# 4 MB took 286 and 291 us of wall and 470 and 477 us of CPU per step,
+# 1-step blocks 355-386 us and 560-610 us (a handoff per step), 0.25 MB
+# 326 and 521 us, and 16 MB (out of cache) 319 and 491 us.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_steps(n: int, d: int) -> int:
+    """Steps per draw-ahead block: about _BLOCK_BYTES of raw draws (U, E
+    and an (n, d) Gaussian per step), at least one step."""
+    return max(1, _BLOCK_BYTES // (8 * n * (d + 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +133,24 @@ class DriftSpec:
         )
 
 
+def _increments(model, n, h, n_steps, gen, pool):
+    """Yield the n_steps increments over h in step order, the generator
+    calls of each block of steps made one block ahead: on the pool's
+    helper thread, or in line when pool is None."""
+    L = _block_steps(n, model.d)
+
+    def ahead(k):
+        args = (draw_noise, model, n, gen, min(L, n_steps - k))
+        return pool.submit(*args).result if pool else partial(*args)
+
+    fetch = ahead(0)
+    for start in range(0, n_steps, L):
+        block = fetch()
+        if start + L < n_steps:
+            fetch = ahead(start + L)
+        yield from noise_increments(model, h, block)
+
+
 def _euler(model, drift, Z, h, n_steps, gen, record_steps, out):
     """The Euler stepper Z <- Z + b(Z) h + increment over a (k, n, d) stack.
 
@@ -118,22 +160,29 @@ def _euler(model, drift, Z, h, n_steps, gen, record_steps, out):
     allowed, 0 meaning the initial state).  Raises IntegrationError at the
     first step that leaves any coordinate non-finite or beyond
     OVERFLOW_LIMIT.
+
+    With a worker cap (`worker_count`) of 2 or more, one helper thread
+    draws the next block of increments (`_block_steps`) while this thread
+    steps through the current one; the helper is joined on every exit.  A
+    draw error (InvariantError for a Kanter U = 0) raises when the stepper
+    reaches the block that drew it, before any step of that block.
     """
-    n = Z.shape[1]
-    i = 0
-    for k in range(n_steps + 1):
-        if k:
-            Z = Z + drift.eval(Z) * h + sample_stable_increment(model, h, gen, size=n)
-            # NaN fails the comparison too, so this also catches non-finite states
-            ok = np.abs(Z) <= OVERFLOW_LIMIT
-            if not ok.all():
-                bad = int((~ok.all(axis=-1)).sum())
-                raise IntegrationError(
-                    f"{bad} path(s) left the representable range at step {k}", step=k
-                )
-        while i < len(record_steps) and record_steps[i] == k:
-            out[i] = Z
-            i += 1
+    with ThreadPoolExecutor(max_workers=1) if worker_count() >= 2 else nullcontext() as pool:
+        incs = _increments(model, Z.shape[1], h, n_steps, gen, pool)
+        i = 0
+        for k in range(n_steps + 1):
+            if k:
+                Z = Z + drift.eval(Z) * h + next(incs)
+                # NaN fails the comparison too, so this also catches non-finite states
+                ok = np.abs(Z) <= OVERFLOW_LIMIT
+                if not ok.all():
+                    bad = int((~ok.all(axis=-1)).sum())
+                    raise IntegrationError(
+                        f"{bad} path(s) left the representable range at step {k}", step=k
+                    )
+            while i < len(record_steps) and record_steps[i] == k:
+                out[i] = Z
+                i += 1
 
 
 def _integrate_stack(model, drift, Z, T, n_steps, rng, record_times):

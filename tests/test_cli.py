@@ -155,7 +155,10 @@ def test_removed_mean_norm_estimator_is_argument_error(capsys):
      "ou_stationary_sample", "alpha_grid repeats a value: (1.9, 1.9, 1.9)"),
     (["transient", "--alpha", "1.9", "--t-max", "1e6"],
      "integrate_ensemble", "transient Euler work capped at 1e+09 member-steps"),
-], ids=["dim_grid_repeats", "alpha_grid_repeats", "transient_euler_work"])
+    (["gradient-check", "--alpha", "1.5,2.0", "--samples", "256"],
+     "integrate_coupled_ensemble", "gradient_check adds the alpha = 2 reference itself"),
+], ids=["dim_grid_repeats", "alpha_grid_repeats", "transient_euler_work",
+        "gradient_check_alpha_two"])
 def test_degenerate_or_unbounded_runs_are_refused_before_work(argv, sampler, match,
                                                                monkeypatch, capsys):
     def spy(*args, **kwargs):

@@ -170,9 +170,13 @@ def test_default_and_explicit_spellings_are_one_config():
      r"transient Euler work capped at 1e\+09 member-steps.*n_steps=1000000000"),
     ({"experiment": "contraction", "n_steps": 10**12}, CapacityError,
      "contraction Euler work capped.*n_samples=512 x n_steps=1000000000000"),
+    # the appended reference would repeat 2.0 and divide it by itself
+    ({"experiment": "gradient_check", "alpha_grid": (1.5, 2.0)}, ValueError,
+     r"gradient_check adds the alpha = 2 reference itself; leave 2.0 out of alpha_grid, "
+     r"got \(1.5, 2.0\)"),
 ], ids=["assignment_cap", "alpha_sweep_grid", "dim_sweep_dims", "dim_sweep_alpha_two",
         "alpha_grid_repeats", "d_grid_repeats", "transient_euler_work",
-        "contraction_euler_work"])
+        "contraction_euler_work", "gradient_check_alpha_two"])
 def test_runs_that_cannot_finish_are_refused_when_built(kw, error, match):
     with pytest.raises(error, match=match):
         base(**kw)

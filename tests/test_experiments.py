@@ -319,6 +319,24 @@ def test_results_identical_across_worker_counts(monkeypatch):
     assert r1.config_hash == r2.config_hash
 
 
+def test_transient_identical_across_worker_counts(monkeypatch, tmp_path):
+    # both ensembles, their draw-ahead helpers and the stationary reference
+    # run concurrently under a cap of 2, and in one thread under a cap of 1
+    results, csvs = [], []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STABLEGAP_THREADS", threads)
+        out = tmp_path / f"t{threads}.csv"
+        results.append(run_transient(ExperimentConfig(
+            experiment="transient", seed=12, alpha_grid=(1.7,), n_samples=256, T=2.0,
+            n_bootstrap=4, output_path=str(out))))
+        csvs.append(out.read_bytes())
+    r1, r2 = results
+    assert csvs[0] == csvs[1] and len(csvs[0]) > 0
+    assert r1.stationary_w1 == r2.stationary_w1
+    assert r1.stationary_se == r2.stationary_se
+    assert r1.plateau == r2.plateau and r1.plateau_se == r2.plateau_se
+
+
 def test_csv_outputs_byte_identical_across_reruns(tmp_path):
     cfg = ExperimentConfig(experiment="alpha_sweep", seed=10,
                            alpha_grid=(1.8, 1.9, 1.95), n_samples=2048,

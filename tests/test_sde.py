@@ -6,6 +6,7 @@ statistics have machine-checkable targets up to Monte Carlo error.  The
 coupled gap is a deterministic identity and is checked to float precision.
 """
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,14 +15,17 @@ from stablegap import (
     DomainError,
     DriftSpec,
     IntegrationError,
+    InvariantError,
     OuLaw,
     RngStream,
     StableModel,
     ergodic_sample,
     integrate_coupled_ensemble,
     integrate_ensemble,
+    sample_stable_increment,
     sample_subordinator_increment,
 )
+from stablegap.sde import _block_steps
 from conftest import z_score
 
 
@@ -174,7 +178,7 @@ def test_overflow_raises_with_step_index():
 @pytest.mark.parametrize("tanh", [False, True])
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 @pytest.mark.parametrize("d", [1, 3])
-def test_all_integrators_match_reference_loop(tanh, alpha, d):
+def test_all_integrators_match_reference_loop(tanh, alpha, d, monkeypatch):
     sigma = 0.7 * np.eye(d) + 0.2 * np.tri(d, k=-1)
     model = StableModel(d=d, alpha=alpha, sigma=sigma)
     drift = DriftSpec.dissipative_tanh(d) if tanh else DriftSpec.ornstein_uhlenbeck(d)
@@ -184,24 +188,119 @@ def test_all_integrators_match_reference_loop(tanh, alpha, d):
     Y0 = -0.5 * X0
     ref_x = reference_euler(model, drift, X0, h, n_steps, gen())
     ref_y = reference_euler(model, drift, Y0, h, n_steps, gen())
-
-    # snapshots at the nearest grid step, in step order, duplicates kept
-    record = [0.0, 0.33, 0.5, 0.5, 1.0]
-    steps = [0, 7, 10, 10, 20]
-    times, snaps = integrate_ensemble(model, drift, X0, T, n_steps, gen(),
-                                      record_times=record)
-    assert times == [k * h for k in steps]
-    assert all(np.array_equal(s, ref_x[k]) for s, k in zip(snaps, steps))
-    times, pairs = integrate_coupled_ensemble(model, drift, X0, Y0, T, n_steps,
-                                              gen(), record_times=record)
-    assert times == [k * h for k in steps]
-    for (sx, sy), k in zip(pairs, steps):
-        assert np.array_equal(sx, ref_x[k]) and np.array_equal(sy, ref_y[k])
-
-    # 5 burn-in steps, then one state per chain every 3 steps, 3 rounds
-    m = ergodic_sample(model, drift, 0.05, 10, 0.03, 100, gen(), n_chains=4)
     ref = reference_euler(model, drift, np.zeros((4, d)), 0.01, 14, gen())
-    assert np.array_equal(m.points, ref[[8, 11, 14]].reshape(-1, d)[:10])
+
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STABLEGAP_THREADS", threads)
+        # snapshots at the nearest grid step, in step order, duplicates kept
+        record = [0.0, 0.33, 0.5, 0.5, 1.0]
+        steps = [0, 7, 10, 10, 20]
+        times, snaps = integrate_ensemble(model, drift, X0, T, n_steps, gen(),
+                                          record_times=record)
+        assert times == [k * h for k in steps]
+        assert all(np.array_equal(s, ref_x[k]) for s, k in zip(snaps, steps))
+        times, pairs = integrate_coupled_ensemble(model, drift, X0, Y0, T, n_steps,
+                                                  gen(), record_times=record)
+        assert times == [k * h for k in steps]
+        for (sx, sy), k in zip(pairs, steps):
+            assert np.array_equal(sx, ref_x[k]) and np.array_equal(sy, ref_y[k])
+
+        # 5 burn-in steps, then one state per chain every 3 steps, 3 rounds
+        m = ergodic_sample(model, drift, 0.05, 10, 0.03, 100, gen(), n_chains=4)
+        assert np.array_equal(m.points, ref[[8, 11, 14]].reshape(-1, d)[:10])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n, d, alpha", [(512, 1, 1.5), (512, 3, 1.5), (512, 3, 2.0),
+                                         (4096, 1, 1.5)])
+def test_integrators_match_reference_loop_at_block_edges(n, d, alpha, threads,
+                                                         monkeypatch):
+    # the increments are drawn a block of L steps ahead: runs that end just
+    # before, on and after a block edge, snapshots on the first and last
+    # step of a block, and chains collected across an edge all equal the
+    # step-by-step loop bit for bit
+    monkeypatch.setenv("STABLEGAP_THREADS", threads)
+    sigma = 0.7 * np.eye(d) + 0.2 * np.tri(d, k=-1)
+    model = StableModel(d=d, alpha=alpha, sigma=sigma)
+    drift = DriftSpec.dissipative_tanh(d)
+    gen = lambda: RngStream(17, n + d).generator()  # noqa: E731
+    L, h = _block_steps(n, d), 0.01
+    assert L > 2
+    X0 = np.linspace(-2.0, 2.0, n * d).reshape(n, d)
+    Y0 = -0.5 * X0
+    ref_x = reference_euler(model, drift, X0, h, 2 * L + 3, gen())
+    ref_y = reference_euler(model, drift, Y0, h, 2 * L + 3, gen())
+    for n_steps in (1, L - 1, L, L + 1, 2 * L + 3):
+        steps = sorted({k for k in (0, 1, L, L + 1, 2 * L, 2 * L + 1, n_steps)
+                        if k <= n_steps})
+        record = [k * h for k in steps]
+        used, drawn = gen(), gen()
+        _, snaps = integrate_ensemble(model, drift, X0, n_steps * h, n_steps, used,
+                                      record_times=record)
+        assert all(np.array_equal(s, ref_x[k]) for s, k in zip(snaps, steps))
+        # and the run leaves the stream where n_steps increments leave it
+        for _ in range(n_steps):
+            sample_stable_increment(model, h, drawn, size=n)
+        assert np.array_equal(used.random(4), drawn.random(4))
+        _, pairs = integrate_coupled_ensemble(model, drift, X0, Y0, n_steps * h, n_steps,
+                                              gen(), record_times=record)
+        for (sx, sy), k in zip(pairs, steps):
+            assert np.array_equal(sx, ref_x[k]) and np.array_equal(sy, ref_y[k])
+
+    # n chains burnt in for L - 1 steps, then collected on steps L, L + 1, L + 2
+    m = ergodic_sample(model, drift, (L - 1) * h, 3 * n, h, round(1 / h), gen(),
+                       n_chains=n)
+    ref = reference_euler(model, drift, np.zeros((n, d)), h, L + 2, gen())
+    assert np.array_equal(m.points, ref[[L, L + 1, L + 2]].reshape(-1, d))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflow_inside_a_block_raises_at_the_reference_step(threads, monkeypatch):
+    monkeypatch.setenv("STABLEGAP_THREADS", threads)
+    model = StableModel(d=1, alpha=1.5, sigma=3e9 * np.eye(1))
+    drift = DriftSpec.ornstein_uhlenbeck(1)
+    n, h = 512, 0.01
+    L = _block_steps(n, 1)
+    ref = reference_euler(model, drift, np.zeros((n, 1)), h, 3 * L,
+                          RngStream(10).generator())
+    first_bad = next(k for k in range(3 * L + 1) if not np.all(np.abs(ref[k]) <= 1e12))
+    assert 2 * L + 1 < first_bad < 3 * L  # inside the third block, not on its edges
+    before = threading.active_count()
+    with pytest.raises(IntegrationError) as exc:
+        integrate_ensemble(model, drift, np.zeros((n, 1)), 3 * L * h, 3 * L, RngStream(10))
+    assert exc.value.step == first_bad
+    assert threading.active_count() == before
+
+
+class ZeroUniformAt(np.random.Generator):
+    """A generator whose uniform call number `at` (from 1) returns only the
+    left end point U = 0, recording the thread that drew it."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls == self.at:
+            self.zero_thread = threading.current_thread()
+            return np.full(size, float(low))
+        return super().uniform(low, high, size)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_zero_uniform_drawn_ahead_reaches_the_caller(threads, monkeypatch):
+    # the uniform of step L + 2 is drawn with the second block, on the
+    # helper thread while the first block is stepped
+    monkeypatch.setenv("STABLEGAP_THREADS", threads)
+    model = StableModel(d=1, alpha=1.5)
+    drift = DriftSpec.ornstein_uhlenbeck(1)
+    n = 512
+    L = _block_steps(n, 1)
+    gen = ZeroUniformAt(np.random.Philox(3))
+    gen.at = L + 2
+    before = threading.active_count()
+    with pytest.raises(InvariantError, match="U = 0"):
+        integrate_ensemble(model, drift, np.zeros((n, 1)), 3.0, 3 * L, gen)
+    assert threading.active_count() == before
+    helper = gen.zero_thread is not threading.current_thread()
+    assert helper == (threads == "2")
 
 
 def test_ergodic_sample_brownian_stationary_moments():
