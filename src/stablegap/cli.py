@@ -2,16 +2,17 @@
 
     stablegap <experiment> [--config FILE] [--seed N] [--out PATH] [...]
 
-Exit codes: 0 success, 1 invariant or integration failure, 2 argument
-error, 3 I/O error.  STABLEGAP_THREADS caps worker threads.
+A flag's dest is the config field it sets, and its text reaches
+`ExperimentConfig` as typed, to be read by `config.field_value` like a
+config-file line.  Exit codes: 0 success, 1 invariant or integration
+failure, 2 argument error, 3 I/O error.  STABLEGAP_THREADS caps workers.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import (DRIFTS, ESTIMATORS, EXPERIMENTS, ExperimentConfig, _dimension,
-                     _parse_grid, load_config)
+from .config import DRIFTS, ESTIMATORS, EXPERIMENTS, ExperimentConfig, load_config
 from .errors import IntegrationError, InvariantError
 from .experiments import (
     run_alpha_sweep,
@@ -36,32 +37,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {_SUBCOMMANDS[name]} experiment")
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--seed", type=int, help="PRNG seed (mandatory unless in config)")
-        p.add_argument("--out", help="write results CSV here")
-        p.add_argument("--alpha", help="grid: '1.8,1.9' or 'start:stop:count'")
-        p.add_argument("--dim", help="dimension grid, same syntax as --alpha")
-        p.add_argument("--samples", type=int, help="sample count per cloud")
-        p.add_argument("--steps", type=int, help="Euler steps over the horizon")
-        p.add_argument("--t-max", type=float, dest="t_max", help="time horizon")
+        p.add_argument("--seed", help="PRNG seed (mandatory unless in config)")
+        p.add_argument("--out", dest="output_path", help="write results CSV here")
+        p.add_argument("--alpha", dest="alpha_grid", help="grid: '1.8,1.9' or 'start:stop:count'")
+        p.add_argument("--dim", dest="d_grid", help="dimension grid, same syntax as --alpha")
+        p.add_argument("--samples", dest="n_samples", help="sample count per cloud")
+        p.add_argument("--steps", dest="n_steps", help="Euler steps over the horizon")
+        p.add_argument("--t-max", dest="T", help="time horizon")
         p.add_argument("--estimator", choices=ESTIMATORS)
         p.add_argument("--drift", choices=DRIFTS)
     return parser
 
 
 def _build_config(args) -> ExperimentConfig:
-    overrides = {
-        "experiment": _SUBCOMMANDS[args.command],
-        "seed": args.seed,
-        "output_path": args.out,
-        "alpha_grid": _parse_grid(args.alpha, float) if args.alpha is not None else None,
-        "d_grid": _parse_grid(args.dim, _dimension) if args.dim is not None else None,
-        "n_samples": args.samples,
-        "n_steps": args.steps,
-        "T": args.t_max,
-        "estimator": args.estimator,
-        "drift": args.drift,
-    }
-    return load_config(args.config, overrides)
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    return load_config(args.config, dict(overrides, experiment=_SUBCOMMANDS[args.command]))
 
 
 def _print_fit(label, fit):

@@ -2,10 +2,12 @@
 determines an experiment's output.
 
 A config can come from a key=value text file, from CLI flags, or from code;
-all three meet in ExperimentConfig.  Every default an experiment applies is
-decided here, once: `ExperimentConfig.resolved()` fills each field the
-experiment reads from the rules in `EXPERIMENTS`, the runners read that
-record, and its canonical serialization (sorted key=value lines) is hashed.
+all three meet in ExperimentConfig, and one function, `field_value`, turns
+each field's input (a Python value, a file line's text or a flag's text)
+into its stored value.  Every default an experiment applies is decided
+here, once: `ExperimentConfig.resolved()` fills each field the experiment
+reads from the rules in `EXPERIMENTS`, the runners read that record, and
+its canonical serialization (sorted key=value lines) is hashed.
 Every output row carries the hash, so any CSV row traces back to the one
 configuration that produced it, whether a value was given or defaulted.
 """
@@ -73,6 +75,11 @@ MEMBER_STEP_CAP = 10**9
 
 DRIFTS = ("ou", "custom")
 
+# Largest seed: numpy reads `RngStream`'s Philox key [seed, stream_id] as
+# float64 when one entry is >= 2**63 (a negative seed, masked to 64 bits, is),
+# and only integers up to 2**53 survive that exactly.
+MAX_SEED = 2**53
+
 # Default alpha grid for the rate sweep: geometric in u = 2 - alpha from
 # 0.025 down to 0.002.  Chosen so that the n-dependent empirical floor at
 # the small-u end and the closed-form (2-alpha) signal keep both log-log
@@ -94,10 +101,10 @@ class ExperimentConfig:
     experiment's default" (the rules of `EXPERIMENTS`); `resolved()` returns
     the record with those values filled in, and the hash is that record's,
     so leaving a field out and giving its default value are one config.
-    Counts are stored as ints and real scalars as finite floats, refusing a
-    non-integral count, so one value has one spelling.  The seed has no
-    default on purpose: runs must be reproducible, so wall-clock seeding is
-    not an option.
+    Every given field is stored as `field_value` reads it, so one value has
+    one spelling.  The seed has no default on purpose: runs must be
+    reproducible, so wall-clock seeding is not an option; it lies in
+    [0, MAX_SEED].
     """
 
     experiment: str
@@ -129,19 +136,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown drift {self.drift!r}; choose from {DRIFTS}")
         if self.seed is None:
             raise ValueError("seed is mandatory; wall-clock seeding is not supported")
-        for name in ("seed", "n_samples", "n_steps", "n_bootstrap", "n_projections"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v is not None:
-                object.__setattr__(self, name, _integer(v, f"{name} must be an integer"))
-        for name in ("drift_param", "T", "burn_in", "x_start"):
-            v = getattr(self, name)
-            if v is not None:
-                v = float(v)
-                if not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v}")
-                object.__setattr__(self, name, v)
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
-        object.__setattr__(self, "d_grid", tuple(_dimension(d) for d in self.d_grid))
+                object.__setattr__(self, f.name, field_value(f.name, v))
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must lie in [0, 2**53], got {self.seed}")
         if not self.alpha_grid or not self.d_grid:
             raise ValueError("alpha_grid and d_grid must be nonempty")
         for name in ("alpha_grid", "d_grid"):
@@ -272,10 +272,33 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def field_value(name: str, v):
+    """Field `name`'s stored value for v: a Python value, or the text of a
+    config-file line or a flag.  Counts are ints (`_integer`), reals finite
+    floats, grids grid-syntax text or a sequence cast per element; choice and
+    path fields are kept as given."""
+    if name in ("seed", "n_samples", "n_steps", "n_bootstrap", "n_projections"):
+        return _integer(v, f"{name} must be an integer")
+    if name in ("drift_param", "T", "burn_in", "x_start"):
+        x = float(v)
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+        return x
+    if name in ("alpha_grid", "d_grid"):
+        cast = float if name == "alpha_grid" else _dimension
+        return _parse_grid(v, cast) if isinstance(v, str) else tuple(cast(x) for x in v)
+    return v
+
+
 def _integer(v, message: str) -> int:
-    """v as an int, refusing a non-integral value rather than truncating it."""
+    """v as an int, read exactly from integer text, refusing a non-integral value."""
     if isinstance(v, numbers.Integral):
         return int(v)
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
     x = float(v)
     if not x.is_integer():
         raise ValueError(f"{message}, got {v}")
@@ -308,27 +331,9 @@ def _parse_grid(text: str, cast):
     return tuple(cast(v) for v in text.split(","))
 
 
-_FIELD_PARSERS = {
-    "experiment": str,
-    "seed": int,
-    "drift": str,
-    "drift_param": float,
-    "alpha_grid": lambda s: _parse_grid(s, float),
-    "d_grid": lambda s: _parse_grid(s, _dimension),
-    "n_samples": int,
-    "n_steps": int,
-    "T": float,
-    "burn_in": float,
-    "estimator": str,
-    "n_bootstrap": int,
-    "n_projections": int,
-    "x_start": float,
-    "output_path": str,
-}
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse flat key=value lines; '#' starts a comment, blank lines skipped."""
+    """Flat key=value lines as field values; '#' starts a comment, blank lines skipped."""
+    names = {f.name for f in fields(ExperimentConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -337,10 +342,10 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_PARSERS:
+        if key not in names:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            out[key] = _FIELD_PARSERS[key](val)
+            out[key] = field_value(key, val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return out

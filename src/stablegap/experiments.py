@@ -387,9 +387,11 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
         return integrate_ensemble(
             StableModel(d=d, alpha=a), drift, start, T, cfg.n_steps,
             derive_stream(cfg.seed, "transient", noise, d, alpha, n),
-            record_times=times)[1]
+            record_times=times)
 
-    snaps_x, snaps_y = parallel_map(ensemble, [(alpha, "stable", X0), (2.0, "gauss", Y0)])
+    # rows carry the simulated times: the grid steps nearest the requested ones
+    (times, snaps_x), (_, snaps_y) = parallel_map(
+        ensemble, [(alpha, "stable", X0), (2.0, "gauss", Y0)])
 
     def estimate(i):
         if i is None:  # the stationary reference at the same alpha, n and estimator
@@ -514,7 +516,7 @@ def run_gradient_check(cfg: ExperimentConfig) -> GradientCheckResult:
     def one(alpha: float):
         X0 = np.tile(x0, (n, 1))
         Xp0 = np.tile(xp, (n, 1))
-        _, snaps = integrate_coupled_ensemble(
+        times, snaps = integrate_coupled_ensemble(
             StableModel(d=d, alpha=alpha), drift, Xp0, X0, T, cfg.n_steps,
             derive_stream(cfg.seed, "gradient", d, alpha, n),
             record_times=list(_GRADIENT_TIMES))
@@ -526,11 +528,13 @@ def run_gradient_check(cfg: ExperimentConfig) -> GradientCheckResult:
             np_norm = np.minimum(np.linalg.norm(Xp_t, axis=1), _CLIP_M)
             nx_norm = np.minimum(np.linalg.norm(X_t, axis=1), _CLIP_M)
             g_norm.append(float((np_norm.mean() - nx_norm.mean()) / _FD_EPS))
-        return g_id, g_norm
+        return times, g_id, g_norm
 
     results = parallel_map(one, alphas)
-    grad = np.array([r[0] for r in results])
-    grad_norm = np.array([r[1] for r in results])
+    # the simulated times, rounded as the requested ones are
+    times = np.round(results[0][0], 10)
+    grad = np.array([r[1] for r in results])
+    grad_norm = np.array([r[2] for r in results])
     ref = np.abs(grad[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.abs(grad[:-1]) / ref[None, :]
@@ -540,11 +544,11 @@ def run_gradient_check(cfg: ExperimentConfig) -> GradientCheckResult:
     if cfg.output_path:
         rows = []
         for i, a in enumerate(alphas):
-            for j, t in enumerate(_GRADIENT_TIMES):
+            for j, t in enumerate(times):
                 rows.append((a, t, grad[i, j], grad_norm[i, j]))
         write_csv(cfg.output_path, ["alpha", "t", "grad_clip_coord", "grad_clip_norm"],
                   rows, chash)
-    return GradientCheckResult(times=np.array(_GRADIENT_TIMES),
+    return GradientCheckResult(times=times,
                                alphas=np.array(alphas), grad=grad,
                                grad_norm=grad_norm,
                                max_ratio_vs_gaussian=max_ratio,

@@ -33,6 +33,14 @@ def test_infinite_horizon_is_argument_error(capsys):
     assert "argument error: T must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5", str(2**53 + 1), str(2**64 - 1000)])
+def test_seed_outside_the_exact_range_is_argument_error(seed, capsys):
+    # numpy rounds a Philox key with an entry >= 2**63 through float64, so
+    # these seeds ran one stream under four config hashes
+    assert main(["contraction", "--seed", seed, "--samples", "8", "--t-max", "0.5"]) == 2
+    assert f"argument error: seed must lie in [0, 2**53], got {seed}" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--seed", "1"])

@@ -11,6 +11,7 @@ from stablegap import (
     load_config,
     parse_config_text,
 )
+from stablegap import cli
 from stablegap.config import MEMBER_STEP_CAP
 
 
@@ -47,7 +48,13 @@ def test_defaults_and_coercion():
     ({"drift": "custom", "burn_in": float("inf")}, "burn_in must be finite"),
     ({"experiment": "contraction", "x_start": float("nan")}, "x_start must be finite"),
     ({"drift": "custom", "drift_param": float("inf")}, "drift_param must be finite"),
-], ids=[f"kw{i}" for i in range(17)])
+    # numpy rounds a Philox key holding an entry >= 2**63 (a masked negative
+    # seed is one), and float64 holds every integer up to 2**53 only
+    ({"seed": -1}, r"seed must lie in \[0, 2\*\*53\], got -1"),
+    ({"seed": 2**53 + 1}, r"seed must lie in \[0, 2\*\*53\], got 9007199254740993"),
+    # integer text is read exactly, not rounded to 2**53 through a float
+    ({"seed": "9007199254740993"}, r"seed must lie in \[0, 2\*\*53\], got 9007199254740993"),
+], ids=[f"kw{i}" for i in range(20)])
 def test_validation_rejects(kw, match):
     with pytest.raises(ValueError, match=match):
         base(**kw)
@@ -116,6 +123,48 @@ def test_one_hash_per_value_spelling():
         name = [k for k in kw if k != "experiment"][0]
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {kw[name]}"):
             base(**kw)
+
+
+def _text(v):
+    return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
+@pytest.mark.parametrize("experiment, field, flag, value, text", [
+    ("contraction", "n_samples", "--samples", 512, "512.0"),
+    ("contraction", "n_samples", "--samples", 4, "4e0"),
+    ("contraction", "seed", "--seed", 1, "1.0"),
+    ("contraction", "T", "--t-max", 0.5, "5e-1"),
+    ("dim_sweep", "d_grid", "--dim", (2, 3, 5), "2,3,5"),
+    ("dim_sweep", "d_grid", "--dim", (2, 3, 4), "2:4:3"),
+    ("alpha_sweep", "alpha_grid", "--alpha", (1.8, 1.9, 1.95), "1.8,1.9,1.95"),
+], ids=["samples_512.0", "samples_4e0", "seed_1.0", "T_5e-1", "dims_list", "dims_range",
+        "alphas_list"])
+def test_one_value_is_one_config_from_code_file_or_flag(experiment, field, flag, value,
+                                                        text, tmp_path):
+    # the Python value, its text through the API, a config-file line and a
+    # flag all meet in one coercion, so they store one value under one hash
+    others = {"experiment": experiment, "seed": 3}
+    if experiment == "dim_sweep":
+        others["alpha_grid"] = (1.9,)
+    base_file, spelled_file = tmp_path / "base.cfg", tmp_path / "spelled.cfg"
+    base_file.write_text("".join(f"{k} = {_text(v)}\n" for k, v in others.items()))
+    spelled_file.write_text(base_file.read_text() + f"{field} = {text}\n")
+    argv = [experiment.replace("_", "-"), "--config", str(base_file), flag, text]
+    configs = [ExperimentConfig(**dict(others, **{field: value})),
+               ExperimentConfig(**dict(others, **{field: text})),
+               load_config(str(spelled_file)),
+               cli._build_config(cli.build_parser().parse_args(argv))]
+    assert [getattr(c, field) for c in configs] == [value] * 4
+    assert [type(getattr(c, field)) for c in configs] == [type(value)] * 4
+    assert len({c.config_hash() for c in configs}) == 1
+
+
+def test_grid_text_is_grid_syntax_in_every_input():
+    # "235" is one dimension, not the characters 2, 3 and 5
+    assert base(d_grid="235").d_grid == (235,)
+    with pytest.raises(ValueError, match=r"need >= 3 dimensions, got \(235,\)"):
+        base(experiment="dim_sweep", alpha_grid=(1.9,), d_grid="235")
+    assert base(alpha_grid="1.9:1.99:4") == base(alpha_grid=(1.9, 1.93, 1.96, 1.99))
 
 
 def test_defaults_are_resolved_in_one_record():
@@ -191,6 +240,12 @@ def test_euler_work_cap_is_on_the_product_per_ensemble():
         base(experiment="gradient_check", n_samples=MEMBER_STEP_CAP // 1000 + 1)
     # experiments that take no Euler steps are not capped by it
     base(n_samples=MEMBER_STEP_CAP + 1)
+
+
+def test_seeds_up_to_two_to_the_53_are_kept_exactly():
+    assert base(seed=0).seed == 0
+    assert base(seed=2**53).seed == base(seed="9007199254740992").seed == 2**53
+    assert parse_config_text("seed = 9007199254740992\n")["seed"] == 2**53
 
 
 def test_seed_is_mandatory():

@@ -241,6 +241,21 @@ def test_short_transient_plateau_excludes_the_start_point():
     assert res.plateau == pytest.approx(res.w1[1:].mean(), rel=1e-15)
 
 
+def test_transient_rows_carry_the_simulated_times(tmp_path):
+    # 4 steps of h = 2: every requested time up to 1.0 is nearest step 0, so
+    # those rows hold the t = 0 state, and the decay fit must see them there
+    out = tmp_path / "transient.csv"
+    res = run_transient(ExperimentConfig(experiment="transient", seed=1, alpha_grid=(1.9,),
+                                         n_samples=16, n_steps=4, n_bootstrap=4,
+                                         output_path=str(out)))
+    assert list(res.times) == [0.0] * 5 + [2.0] * 3 + [4.0] * 3 + [6.0, 8.0]
+    assert res.w1[0] == pytest.approx(10.0, abs=1e-12)
+    # one snapshot, one estimate stream: rows at one time are one estimate
+    assert np.all(res.w1[:5] == res.w1[0]) and np.all(res.stderr[:5] == res.stderr[0])
+    _, rows = load_results(str(out))
+    assert [float(r[0]) for r in rows] == list(res.times)
+
+
 def test_transient_decay_rate_near_one():
     cfg = ExperimentConfig(experiment="transient", seed=6, alpha_grid=(1.9,),
                            d_grid=(1,), n_samples=256, n_bootstrap=4,
@@ -304,6 +319,20 @@ def test_gradient_check_pinned_by_the_euler_contraction():
     assert np.all(np.abs(res.grad[-1] - exact) <= 1e-9)
     assert np.all(res.grad[:-1] <= exact + 1e-9)
     assert np.all(res.grad_norm <= exact + 1e-9)
+
+
+def test_gradient_check_rows_carry_the_simulated_times(tmp_path):
+    # 3 steps of h = 1/3: t = 0.1 is nearest step 0, where the pair is still
+    # eps apart; the times are rounded to 10 digits, as the requested ones are
+    out = tmp_path / "gradient.csv"
+    res = run_gradient_check(ExperimentConfig(experiment="gradient_check", seed=8,
+                                              alpha_grid=(1.8,), n_samples=64, n_steps=3,
+                                              output_path=str(out)))
+    steps = [0, 1, 1, 1, 2, 2, 2, 2, 3, 3]
+    assert list(res.times) == list(np.round([k * (1.0 / 3) for k in steps], 10))
+    assert np.all(res.grad[:, 0] == pytest.approx(1.0, abs=1e-9))
+    _, rows = load_results(str(out))
+    assert [float(r[1]) for r in rows] == list(res.times) * 2
 
 
 def test_results_identical_across_worker_counts(monkeypatch):
