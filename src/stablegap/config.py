@@ -275,19 +275,28 @@ class ExperimentConfig:
 def field_value(name: str, v):
     """Field `name`'s stored value for v: a Python value, or the text of a
     config-file line or a flag.  Counts are ints (`_integer`), reals finite
-    floats, grids grid-syntax text or a sequence cast per element; choice and
-    path fields are kept as given."""
+    floats (`_real`), grids grid-syntax text or a sequence cast per element;
+    choice and path fields are kept as given.  Input that is no number where
+    one is needed is refused with a message that names the field."""
     if name in ("seed", "n_samples", "n_steps", "n_bootstrap", "n_projections"):
         return _integer(v, f"{name} must be an integer")
     if name in ("drift_param", "T", "burn_in", "x_start"):
-        x = float(v)
+        x = _real(v, f"{name} must be a number")
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x}")
         return x
     if name in ("alpha_grid", "d_grid"):
-        cast = float if name == "alpha_grid" else _dimension
+        cast = _alpha if name == "alpha_grid" else _dimension
         return _parse_grid(v, cast) if isinstance(v, str) else tuple(cast(x) for x in v)
     return v
+
+
+def _real(v, message: str) -> float:
+    """v as a float, refusing input that is no number."""
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"{message}, got {v!r}") from None
 
 
 def _integer(v, message: str) -> int:
@@ -299,10 +308,14 @@ def _integer(v, message: str) -> int:
             return int(v)
         except ValueError:
             pass
-    x = float(v)
+    x = _real(v, message)
     if not x.is_integer():
         raise ValueError(f"{message}, got {v}")
     return int(x)
+
+
+def _alpha(v) -> float:
+    return _real(v, "alpha values must be numbers")
 
 
 def _dimension(v) -> int:
@@ -319,7 +332,9 @@ def _parse_grid(text: str, cast):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid range must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start = _real(parts[0], "grid start must be a number")
+        stop = _real(parts[1], "grid stop must be a number")
+        count = _integer(parts[2], "grid count must be an integer")
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
         if count == 1:

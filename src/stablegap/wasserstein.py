@@ -20,6 +20,10 @@ sliced and radial -> radial; an assignment run above ASSIGNMENT_CAP is
 refused when its config is built.  `bootstrap_stderr` is a separate call
 giving a standard error for any tag; only w1_mean_norm_lower, which is not a
 tag, carries one itself.
+
+scipy is imported by w1_assignment alone, at its first call, so importing
+this module (and stablegap) loads numpy and nothing heavier; only the
+assignment estimator and the self-test pay scipy's import time.
 """
 from __future__ import annotations
 
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import CapacityError
 from .rng import as_generator
@@ -137,6 +139,9 @@ def w1_assignment(X, Y, cap: int = ASSIGNMENT_CAP) -> W1Estimate:
     The dense solver is O(n^3)-ish; n above the cap raises CapacityError
     rather than silently burning hours (use w1_sliced beyond the cap).
     """
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     X, Y = _inputs("exact_assignment", X, Y)
     if X.n > cap:
         raise CapacityError(

@@ -41,6 +41,34 @@ def test_seed_outside_the_exact_range_is_argument_error(seed, capsys):
     assert f"argument error: seed must lie in [0, 2**53], got {seed}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--samples", "abc", "n_samples must be an integer, got 'abc'"),
+    ("--steps", "1O0", "n_steps must be an integer, got '1O0'"),
+    ("--t-max", "long", "T must be a number, got 'long'"),
+])
+def test_flag_text_that_is_no_number_names_its_field(flag, value, message, capsys):
+    assert main(["contraction", "--seed", "1", flag, value]) == 2
+    assert capsys.readouterr().err.strip() == f"argument error: {message}"
+
+
+def test_config_file_text_that_is_no_number_names_its_line_and_field(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nn_samples = abc\n")
+    assert main(["contraction", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "argument error: line 2: bad value for n_samples: n_samples must be an integer, got 'abc'"
+
+
+def test_grid_count_takes_an_integral_float_spelling(capsys):
+    argv = ["alpha-sweep", "--seed", "1", "--samples", "64", "--alpha"]
+    assert main(argv + ["1.5:1.99:4.0"]) == 0
+    spelled_as_float = capsys.readouterr().out
+    assert main(argv + ["1.5:1.99:4"]) == 0
+    assert capsys.readouterr().out == spelled_as_float
+    assert main(argv + ["1.5:1.99:4.5"]) == 2
+    assert "grid count must be an integer, got 4.5" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--seed", "1"])

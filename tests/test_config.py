@@ -295,6 +295,30 @@ def test_parse_errors_carry_line_numbers(line):
         parse_config_text("experiment = selftest\n" + line + "\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("n_samples = abc", "n_samples must be an integer, got 'abc'"),
+    ("seed = 1x", "seed must be an integer, got '1x'"),
+    ("T = fast", "T must be a number, got 'fast'"),
+    ("x_start = 1,5", "x_start must be a number, got '1,5'"),
+    ("alpha_grid = 1.8,abc", "alpha values must be numbers, got 'abc'"),
+])
+def test_text_that_is_no_number_names_its_field(line, message):
+    with pytest.raises(ValueError) as exc:
+        parse_config_text("experiment = contraction\n" + line + "\n")
+    key = line.split("=")[0].strip()
+    assert str(exc.value) == f"line 2: bad value for {key}: {message}"
+
+
+def test_grid_count_reads_integral_float_spellings():
+    for count in ("8.0", "8e0", " 8 "):
+        assert base(alpha_grid=f"1.5:1.99:{count}") == base(alpha_grid="1.5:1.99:8")
+        assert (base(alpha_grid=f"1.5:1.99:{count}").config_hash()
+                == base(alpha_grid="1.5:1.99:8").config_hash())
+    for count in ("8.5", "eight"):
+        with pytest.raises(ValueError, match="grid count must be an integer, got"):
+            base(alpha_grid=f"1.5:1.99:{count}")
+
+
 def test_load_config_overrides(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("experiment = contraction\nseed = 4\nT = 2.0\n")
