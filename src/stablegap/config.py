@@ -75,6 +75,11 @@ MEMBER_STEP_CAP = 10**9
 
 DRIFTS = ("ou", "custom")
 
+# Largest count of a start:stop:count grid.  Every experiment runs one task
+# per grid value, and the largest grid anyone has run holds tens of values,
+# so a count above this is a typo; it is refused before the list is built.
+GRID_COUNT_CAP = 10_000
+
 # Largest seed: numpy reads `RngStream`'s Philox key [seed, stream_id] as
 # float64 when one entry is >= 2**63 (a negative seed, masked to 64 bits, is),
 # and only integers up to 2**53 survive that exactly.
@@ -335,8 +340,8 @@ def _parse_grid(text: str, cast):
         start = _real(parts[0], "grid start must be a number")
         stop = _real(parts[1], "grid stop must be a number")
         count = _integer(parts[2], "grid count must be an integer")
-        if count < 1:
-            raise ValueError(f"grid count must be >= 1, got {count}")
+        if not 1 <= count <= GRID_COUNT_CAP:
+            raise ValueError(f"grid count must lie in [1, {GRID_COUNT_CAP}], got {count}")
         if count == 1:
             vals = [start]
         else:

@@ -26,12 +26,13 @@ from .sde import DriftSpec, ergodic_sample, integrate_coupled_ensemble, integrat
 from .specfun import crate_bound_fit, ratio_minus_one
 from .wasserstein import (
     EmpiricalMeasure,
+    _mean_norm_lower,
+    _norms,
     bootstrap_stderr,
     w1_assignment,
     w1_estimate,
     w1_exact_1d,
     w1_mean_norm_lower,
-    w1_radial,
     w1_sliced,
 )
 
@@ -182,26 +183,28 @@ def _estimate_pair(X, Y, cfg: ExperimentConfig, stream: RngStream):
     return est, se
 
 
-def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
-    """Clouds from the two stationary laws at matched sample count.
+def _stationary_cloud(noise: str, d: int, alpha: float, n: int,
+                      cfg: ExperimentConfig) -> EmpiricalMeasure:
+    """n draws from one of the two stationary laws: noise "stable" (index
+    alpha) or "gauss" (index 2), each from its own named stream.
 
-    OU drift: exact draws.  Custom drift: long-run simulation under both
-    noises (no closed form exists there), burnt in for cfg.burn_in (cfg is
-    resolved) at the default Euler step.
+    OU drift: exact draws.  Custom drift: long-run simulation (no closed
+    form exists there), burnt in for cfg.burn_in (cfg is resolved) at the
+    default Euler step.
     """
-    s_stable = derive_stream(cfg.seed, "stationary", "stable", d, alpha, n)
-    s_gauss = derive_stream(cfg.seed, "stationary", "gauss", d, alpha, n)
+    stream = derive_stream(cfg.seed, "stationary", noise, d, alpha, n)
+    index = alpha if noise == "stable" else 2.0
     if cfg.drift == "ou":
-        X = ou_stationary_sample(OuLaw(d, alpha), n, s_stable)
-        Y = ou_stationary_sample(OuLaw(d, 2.0), n, s_gauss)
-        return X, Y
+        return ou_stationary_sample(OuLaw(d, index), n, stream)
     drift = cfg.drift_spec(d)
-    steps_per_unit = round(1.0 / euler_step(drift))
-    X = ergodic_sample(StableModel(d=d, alpha=alpha), drift, cfg.burn_in, n, 1.0,
-                       steps_per_unit, s_stable)
-    Y = ergodic_sample(StableModel(d=d, alpha=2.0), drift, cfg.burn_in, n, 1.0,
-                       steps_per_unit, s_gauss)
-    return X, Y
+    return ergodic_sample(StableModel(d=d, alpha=index), drift, cfg.burn_in, n, 1.0,
+                          round(1.0 / euler_step(drift)), stream)
+
+
+def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
+    """The stable and the Gaussian stationary clouds at matched sample count."""
+    return (_stationary_cloud("stable", d, alpha, n, cfg),
+            _stationary_cloud("gauss", d, alpha, n, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +297,29 @@ _DIM_NOTE = (
 def run_dim_sweep(cfg: ExperimentConfig) -> DimSweepResult:
     """Estimators across dimensions at fixed alpha (the mean-norm and sliced
     lower bounds and radial, exact for these isotropic pairs), with growth
-    fits of the exact lower bound against d and against d log(1+d)."""
+    fits of the exact lower bound against d and against d log(1+d).
+
+    Each cloud is reduced as soon as it is drawn, to its norms (which give
+    the mean-norm gap and radial) and its first n_sliced rows (which give
+    sliced), and dropped before the next draw: a worker holds one full
+    cloud at a time.  The values equal those of the full-cloud estimators.
+    """
     cfg = cfg.resolved()
     alpha, n_mean = cfg.alpha_grid[0], cfg.n_samples
     n_sliced = min(n_mean, 65_536)
 
+    def reduced(noise: str, d: int):
+        pts = _stationary_cloud(noise, d, alpha, n_mean, cfg).points
+        return _norms(pts), pts[:n_sliced].copy()
+
     def one(d: int):
         lower = ou_w1_lower_exact(d, alpha)
-        X, Y = _stationary_pair(d, alpha, n_mean, cfg)
-        mn = w1_mean_norm_lower(X, Y)
-        sl = w1_sliced(X.points[:n_sliced], Y.points[:n_sliced],
-                       n_projections=cfg.n_projections,
+        nx, head_x = reduced("stable", d)
+        ny, head_y = reduced("gauss", d)
+        mn = _mean_norm_lower(nx, ny)
+        sl = w1_sliced(head_x, head_y, n_projections=cfg.n_projections,
                        rng=derive_stream(cfg.seed, "dim_sweep_dirs", d, alpha))
-        return lower, mn.value, mn.stderr, sl.value, w1_radial(X, Y).value
+        return lower, mn.value, mn.stderr, sl.value, w1_exact_1d(nx, ny).value
 
     results = parallel_map(one, cfg.d_grid)
     dims = np.array(cfg.d_grid)

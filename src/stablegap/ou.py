@@ -75,7 +75,8 @@ def ou_stationary_sample(law: OuLaw, n: int, rng) -> EmpiricalMeasure:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     model = StableModel(d=law.d, alpha=law.alpha)
-    pts = law.scale * sample_stable_increment(model, 1.0, rng, size=n)
+    pts = sample_stable_increment(model, 1.0, rng, size=n)
+    pts *= law.scale  # in place: the draw is the only n x d array held
     if math.isfinite(law.t):
         pts += math.exp(-law.t) * law.x0
     return EmpiricalMeasure(points=pts)

@@ -21,6 +21,14 @@ refused when its config is built.  `bootstrap_stderr` is a separate call
 giving a standard error for any tag; only w1_mean_norm_lower, which is not a
 tag, carries one itself.
 
+The norms of a cloud's points are taken by `_norms`, in row chunks of
+_NORM_ROWS: per row it is sqrt(add.reduce(x * x)), the formula of
+np.linalg.norm(points, axis=1) and bit-equal to it, without that call's
+two full-size temporaries (a copy of the cloud and the squares).  The
+radial input rule and the mean-norm gap read it, and so does the dimension
+sweep, which reduces each cloud to its norms as soon as it is drawn;
+`_mean_norm_lower` is the gap from two norm vectors.
+
 scipy is imported by w1_assignment alone, at its first call, so importing
 this module (and stablegap) loads numpy and nothing heavier; only the
 assignment estimator and the self-test pay scipy's import time.
@@ -36,6 +44,10 @@ from .errors import CapacityError
 from .rng import as_generator
 
 ASSIGNMENT_CAP = 4096
+
+# rows per chunk of `_norms`: of 1024 to 65536 rows, 4096 (655 KB at d = 20)
+# was among the fastest at d = 2 and d = 20 on a 2-vCPU x86 VM
+_NORM_ROWS = 4096
 
 _METHODS = ("exact_assignment", "exact_1d", "sliced", "radial")
 
@@ -103,7 +115,7 @@ def _inputs(method: str, X, Y):
         raise ValueError(f"exact_1d needs d = 1, got d = {X.d}; "
                          "use sliced or exact_assignment")
     if method == "radial":
-        X, Y = (EmpiricalMeasure(points=np.linalg.norm(c.points, axis=1)) for c in (X, Y))
+        X, Y = (EmpiricalMeasure(points=_norms(c.points)) for c in (X, Y))
     return X, Y
 
 
@@ -192,21 +204,41 @@ def w1_radial(X, Y) -> W1Estimate:
     return W1Estimate(value=w1_exact_1d(X, Y).value, method="radial", n_used=X.n)
 
 
+def _norms(points: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of an (n, d) array, computed
+    _NORM_ROWS rows at a time into one reused buffer.  The squares are
+    summed along each row by add.reduce, as np.linalg.norm(points, axis=1)
+    sums them, so the two are bit-equal on row-major arrays and their
+    slices (every cloud sampled here); a column-major array may sum in
+    another order."""
+    n = points.shape[0]
+    out = np.empty(n)
+    buf = np.empty((min(n, _NORM_ROWS), points.shape[1]))
+    for i in range(0, n, _NORM_ROWS):
+        chunk = points[i:i + _NORM_ROWS]
+        sq = np.multiply(chunk, chunk, out=buf[:len(chunk)])
+        np.add.reduce(sq, axis=1, out=out[i:i + _NORM_ROWS])
+    return np.sqrt(out, out=out)
+
+
 def w1_mean_norm_lower(X, Y) -> W1Estimate:
     """|mean |x| - mean |y||: the norm is Lip(1), so the gap between mean
     norms lower-bounds W1.  Sample counts may differ.  The standard error
     combines the two mean standard errors in quadrature."""
     X, Y = _clouds(X, Y)
-    nx = np.linalg.norm(X.points, axis=1)
-    ny = np.linalg.norm(Y.points, axis=1)
+    return _mean_norm_lower(_norms(X.points), _norms(Y.points))
+
+
+def _mean_norm_lower(nx: np.ndarray, ny: np.ndarray) -> W1Estimate:
+    """`w1_mean_norm_lower` from the two clouds' norm vectors."""
     value = float(abs(nx.mean() - ny.mean()))
     se = 0.0
-    if X.n > 1:
-        se += nx.var(ddof=1) / X.n
-    if Y.n > 1:
-        se += ny.var(ddof=1) / Y.n
+    if nx.size > 1:
+        se += nx.var(ddof=1) / nx.size
+    if ny.size > 1:
+        se += ny.var(ddof=1) / ny.size
     return W1Estimate(value=value, method="mean_norm_lower",
-                      n_used=min(X.n, Y.n), stderr=float(np.sqrt(se)))
+                      n_used=min(nx.size, ny.size), stderr=float(np.sqrt(se)))
 
 
 def _resample_sorted(sorted_vals: np.ndarray, gen, out: np.ndarray) -> np.ndarray:
@@ -218,9 +250,13 @@ def _resample_sorted(sorted_vals: np.ndarray, gen, out: np.ndarray) -> np.ndarra
     value by its count.  Sorting and taking release the GIL, so concurrent
     resamples on other threads run alongside.  The drawn indices are in
     range, so mode="clip" changes no value; it spares the temporary copy
-    that take's default mode makes of out."""
+    that take's default mode makes of out.  The indices are drawn as int64
+    (the stream's own width) and, below 2**31, sorted as int32: the same
+    values, sorted faster."""
     n = sorted_vals.shape[0]
     idx = gen.integers(0, n, n)
+    if n < 2**31:
+        idx = idx.astype(np.int32)
     idx.sort()
     return np.take(sorted_vals, idx, out=out, mode="clip")
 

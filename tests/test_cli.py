@@ -1,4 +1,6 @@
 """CLI behavior: flag plumbing, exit codes, and output files."""
+import time
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,16 @@ def test_grid_count_takes_an_integral_float_spelling(capsys):
     assert capsys.readouterr().out == spelled_as_float
     assert main(argv + ["1.5:1.99:4.5"]) == 2
     assert "grid count must be an integer, got 4.5" in capsys.readouterr().err
+
+
+def test_grid_count_above_the_cap_is_refused_at_once(capsys):
+    # refused from the count alone: no three-million-value list is built,
+    # and the message names the count, not the values
+    t0 = time.perf_counter()
+    assert main(["contraction", "--seed", "1", "--alpha", "1.5:1.99:3000000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.strip() == "argument error: grid count must lie in [1, 10000], got 3000000"
 
 
 def test_unknown_subcommand_exits_two():

@@ -12,7 +12,7 @@ from stablegap import (
     parse_config_text,
 )
 from stablegap import cli
-from stablegap.config import MEMBER_STEP_CAP
+from stablegap.config import GRID_COUNT_CAP, MEMBER_STEP_CAP
 
 
 def base(**kw):
@@ -281,6 +281,15 @@ def test_parse_grid_range_endpoints():
     assert grid[0] == pytest.approx(1.5) and grid[-1] == pytest.approx(1.99)
     single = parse_config_text("seed=0\nalpha_grid=1.9:1.99:1\n")["alpha_grid"]
     assert single == (1.9,)
+
+
+def test_grid_count_is_capped():
+    grid = parse_config_text(f"alpha_grid = 1.5:1.99:{GRID_COUNT_CAP}\n")["alpha_grid"]
+    assert len(grid) == GRID_COUNT_CAP
+    assert grid[0] == 1.5 and grid[-1] == pytest.approx(1.99)
+    with pytest.raises(ValueError, match=f"grid count must lie in \\[1, {GRID_COUNT_CAP}\\], "
+                                         f"got {GRID_COUNT_CAP + 1}"):
+        parse_config_text(f"alpha_grid = 1.5:1.99:{GRID_COUNT_CAP + 1}\n")
 
 
 @pytest.mark.parametrize("line", [

@@ -2,6 +2,7 @@
 cross-experiment reproducibility guarantees."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from stablegap import (
     run_dim_sweep,
     run_gradient_check,
     run_transient,
+    w1_mean_norm_lower,
+    w1_radial,
+    w1_sliced,
     worker_count,
     write_csv,
 )
@@ -190,6 +194,45 @@ def test_dim_sweep_rows_and_note():
     # sqrt-like growth of the exact bound in d, visibly below linear
     assert 0.3 < res.fit_vs_d.slope < 0.7
     assert res.fit_vs_dlogd.slope < res.fit_vs_d.slope
+
+
+@pytest.mark.parametrize("drift, n", [("ou", 70_000), ("custom", 256)])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dim_sweep_rows_equal_the_full_cloud_estimators(drift, n, threads, monkeypatch):
+    # each row reduces its clouds to norms and sliced heads as they are
+    # drawn; the values must be those of the estimators on the full clouds.
+    # Under ou, n exceeds the 65536-row sliced head.
+    monkeypatch.setenv("STABLEGAP_THREADS", threads)
+    extra = {"burn_in": 0.2} if drift == "custom" else {}
+    cfg = ExperimentConfig(experiment="dim_sweep", seed=13, alpha_grid=(1.8,),
+                           d_grid=(1, 2, 5), n_samples=n, drift=drift, **extra)
+    res = run_dim_sweep(cfg)
+    head = min(n, 65_536)
+    for i, d in enumerate(cfg.d_grid):
+        X, Y = experiments._stationary_pair(d, 1.8, n, cfg.resolved())
+        mn = w1_mean_norm_lower(X, Y)
+        assert (res.mean_norm[i], res.mean_norm_se[i]) == (mn.value, mn.stderr)
+        assert res.radial[i] == w1_radial(X, Y).value
+        assert res.sliced[i] == w1_sliced(
+            X.points[:head], Y.points[:head], n_projections=cfg.n_projections,
+            rng=derive_stream(13, "dim_sweep_dirs", d, 1.8)).value
+
+
+def test_dim_sweep_holds_one_cloud_at_a_time(monkeypatch):
+    # a row keeps each cloud's norms and 65536-row head, not the cloud, so
+    # the traced peak stays below two d = 20 clouds; a row that holds both
+    # of its clouds peaks near 100 MB here
+    monkeypatch.setenv("STABLEGAP_THREADS", "1")
+    n, d_max = 200_000, 20
+    cfg = ExperimentConfig(experiment="dim_sweep", seed=14, alpha_grid=(1.9,),
+                           d_grid=(2, 3, d_max), n_samples=n)
+    tracemalloc.start()
+    try:
+        run_dim_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d_max * 8
 
 
 def test_dim_sweep_rejects_alpha_two():

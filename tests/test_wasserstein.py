@@ -33,7 +33,7 @@ from stablegap import (
     w1_sliced,
 )
 from stablegap.config import ESTIMATORS
-from stablegap.wasserstein import _resample_sorted
+from stablegap.wasserstein import _NORM_ROWS, _norms, _resample_sorted
 
 # every method tag: each CLI estimator's tag, plus exact_1d
 TAGS = sorted(set(ESTIMATORS.values()) | {"exact_1d"})
@@ -177,6 +177,18 @@ def test_radial_is_exact_1d_of_the_norms():
     assert w1_radial(S, 2.0 * S).value == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12, 20, 33])
+def test_norms_equal_linalg_norm_bit_for_bit(d):
+    # the chunked norms sum each row as np.linalg.norm does, so the two agree
+    # in every bit: on either side of a chunk edge, on Cauchy-scaled rows
+    # whose magnitudes span many decades, and on strided views of them
+    gen = RngStream(63).generator()
+    for n in (_NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1):
+        x = gen.standard_normal((n, d)) * gen.standard_cauchy((n, 1)) ** 3
+        for pts in (x, x[::2], x[:, ::-1]):
+            assert _norms(pts).tobytes() == np.linalg.norm(pts, axis=1).tobytes()
+
+
 def test_lower_bounds_not_mutually_ordered_in_higher_d():
     # radial counterexample: Y = 2X on the unit sphere; the norm functional
     # sees the full radial move (gap 1) while every 1-d projection of a d=3
@@ -268,6 +280,24 @@ def test_bootstrap_1d_fast_path_matches_index_loop(estimator):
     g2 = RngStream(42).generator()
     ref = [w1_exact_1d(x[g2.integers(0, n, n)], y[g2.integers(0, n, n)]).value
            for _ in range(R)]
+    assert se == np.std(ref, ddof=1)
+
+
+@pytest.mark.parametrize("n", [4096, 500_000])
+def test_bootstrap_equals_an_int64_sort_and_take_reference(n):
+    # the resampler sorts its indices as int32; sorting them as drawn, as
+    # int64, and taking the sorted values at them must give the same
+    # standard error in every bit
+    R = 5
+    gen = RngStream(64).generator()
+    x, y = gen.standard_normal(n), 1.2 * gen.standard_normal(n) + 0.1
+    se = bootstrap_stderr(x, y, "exact_1d", n_resamples=R, rng=RngStream(65))
+    sx, sy = np.sort(x), np.sort(y)
+    g2 = RngStream(65).generator()
+    ref = []
+    for _ in range(R):
+        ix, iy = np.sort(g2.integers(0, n, n)), np.sort(g2.integers(0, n, n))
+        ref.append(np.abs(sx[ix] - sy[iy]).mean())
     assert se == np.std(ref, ddof=1)
 
 
