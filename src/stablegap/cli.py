@@ -46,6 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-max", dest="T", help="time horizon")
         p.add_argument("--estimator", choices=ESTIMATORS)
         p.add_argument("--drift", choices=DRIFTS)
+        p.add_argument("--drift-param", dest="drift_param",
+                       help="tanh coefficient c of the custom drift, in [0, 1)")
     return parser
 
 

@@ -32,7 +32,10 @@ class Experiment(NamedTuple):
     only, so the grid must hold one value unless it is the default.
     "name?": read under drift=custom only.  Every other field (experiment,
     seed and output_path aside) must keep its default, so no two config
-    hashes differ by a value that nothing reads.
+    hashes differ by a value that nothing reads.  One exception: transient
+    steps Euler under drift=custom only, and under drift=ou it accepts
+    n_steps at its Euler default (the step count the OU runs once took,
+    which configs written then spell out) and drops it from the record.
     n_samples: the sample count per cloud when none is given (at most
     ASSIGNMENT_CAP under estimator=assignment).
     horizon: T when none is given, or the fixed horizon of an experiment
@@ -51,7 +54,7 @@ EXPERIMENTS = {
                               n_samples=20_000_000),
     "dim_sweep": Experiment("alpha_grid[0] d_grid n_samples n_projections drift "
                             "drift_param? burn_in?", n_samples=1_000_000),
-    "transient": Experiment("alpha_grid[0] d_grid[0] n_samples n_steps T estimator "
+    "transient": Experiment("alpha_grid[0] d_grid[0] n_samples n_steps? T estimator "
                             "n_bootstrap n_projections x_start drift drift_param? burn_in?",
                             n_samples=4096, horizon=8.0),
     "contraction": Experiment("alpha_grid[0] d_grid[0] n_samples n_steps T x_start drift "
@@ -96,6 +99,12 @@ def euler_step(drift: DriftSpec) -> float:
     """The default Euler step: 1e-3, shortened to 1e-3/theta1 for drifts
     whose Lipschitz bound theta1 exceeds 1."""
     return 1e-3 * min(1.0, 1.0 / drift.theta1)
+
+
+# euler_step of the OU drift (theta1 = 1), known without building the drift:
+# a DriftSpec's construction screen loads numpy.random, which building a
+# config does not otherwise do
+_OU_EULER_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -182,7 +191,8 @@ class ExperimentConfig:
                     or name in reads:
                 continue
             if name + "?" in reads:
-                if self.drift != "custom":
+                if self.drift != "custom" and not (
+                        name == "n_steps" and value == self._euler_steps(_OU_EULER_STEP)):
                     raise ValueError(f"{self.experiment} reads {name} only under "
                                      f"drift=custom; got {name}={value!r}")
             elif name + "[0]" in reads:
@@ -202,7 +212,7 @@ class ExperimentConfig:
             raise CapacityError(f"assignment solver capped at n={ASSIGNMENT_CAP} (got "
                                 f"n_samples={self.n_samples}); use --estimator sliced "
                                 "for larger clouds")
-        if "n_steps" in EXPERIMENTS[self.experiment].reads.split():
+        if self._reads("n_steps"):
             # resolved() sets both counts, so its record's check does not recurse
             r = self if None not in (self.n_samples, self.n_steps) else self.resolved()
             if r.n_samples * r.n_steps > MEMBER_STEP_CAP:
@@ -234,25 +244,38 @@ class ExperimentConfig:
         experiment's n_samples (capped at ASSIGNMENT_CAP under
         estimator=assignment) and horizon T, n_steps = T over `euler_step`,
         and burn_in = 10/theta0 under drift=custom.  Fields the experiment
-        does not read keep their defaults.  A view, not a fill at
+        does not read keep their defaults (an accepted, unread n_steps is
+        dropped).  A view, not a fill at
         construction: `replace(cfg, T=2.0)` must recompute n_steps.
         """
         spec = EXPERIMENTS[self.experiment]
-        reads = spec.reads.split()
-        T = self.T if self.T is not None else spec.horizon
-        # theta0 and theta1 do not depend on the dimension
-        drift = self.drift_spec(1) if "drift" in reads else None
         values = {}
-        if "n_samples" in reads and self.n_samples is None:
+        if self._reads("n_samples") and self.n_samples is None:
             n = spec.n_samples
             values["n_samples"] = min(n, ASSIGNMENT_CAP) if self.estimator == "assignment" else n
-        if "T" in reads:
-            values["T"] = T
-        if "n_steps" in reads and self.n_steps is None:
-            values["n_steps"] = max(1, round(T / euler_step(drift)))
-        if "burn_in?" in reads and self.drift == "custom" and self.burn_in is None:
-            values["burn_in"] = 10.0 / drift.theta0
+        if self._reads("T"):
+            values["T"] = self.T if self.T is not None else spec.horizon
+        if self._reads("n_steps"):
+            if self.n_steps is None:
+                values["n_steps"] = self._euler_steps()
+        elif self.n_steps is not None:  # the Euler default under drift=ou, unread
+            values["n_steps"] = None
+        if self._reads("burn_in") and self.burn_in is None:
+            # theta0 does not depend on the dimension
+            values["burn_in"] = 10.0 / self.drift_spec(1).theta0
         return replace(self, **values)
+
+    def _reads(self, name: str) -> bool:
+        """Whether this config's experiment reads field `name` (a "name?"
+        field under drift=custom only)."""
+        reads = EXPERIMENTS[self.experiment].reads.split()
+        return name in reads or (name + "?" in reads and self.drift == "custom")
+
+    def _euler_steps(self, step: Optional[float] = None) -> int:
+        """The default n_steps: T (or the horizon) over step, by default the
+        drift's default Euler step, at least one step."""
+        T = self.T if self.T is not None else EXPERIMENTS[self.experiment].horizon
+        return max(1, round(T / (step or euler_step(self.drift_spec(1)))))
 
     def key_values(self) -> list:
         """Canonical serialization of the resolved record: sorted key=value

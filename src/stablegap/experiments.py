@@ -232,6 +232,12 @@ def run_alpha_sweep(cfg: ExperimentConfig) -> AlphaSweepResult:
 
     def one(alpha: float):
         X, Y = _stationary_pair(d, alpha, n, cfg)
+        if d == 1 and cfg.estimator != "assignment":
+            # the d = 1 estimators and their bootstrap read each cloud's
+            # values in sorted order only; sorted in place, once, a cloud is
+            # neither copied nor sorted again
+            for cloud in (X, Y):
+                cloud.points.sort(axis=0)
         stream = derive_stream(cfg.seed, "alpha_sweep", d, alpha, n)
         est, se = _estimate_pair(X, Y, cfg, stream)
         return est.value, se
@@ -382,29 +388,46 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     The curve decays like e^{-t} |x0-y0| early on and levels off at the
     stationary gap; the plateau is compared against the stationary estimate
     at the same alpha and sample size.
+
+    OU drift: each row's task draws its two clouds exactly from the time-t
+    laws, OuLaw(d, alpha, t, x0) and OuLaw(d, 2, t), each from its own
+    stream, and estimates on them; W1 at t reads only the two marginals, so
+    no path links the rows, and the rows carry the requested times.  Custom
+    drift (no closed form): both ensembles are integrated by Euler and the
+    rows carry the simulated times, the grid steps nearest the requested ones.
     """
     cfg = cfg.resolved()
     alpha, d, n, T = cfg.alpha_grid[0], cfg.d_grid[0], cfg.n_samples, cfg.T
-    drift = cfg.drift_spec(d)
     times = [t for t in _TRANSIENT_GRID if t <= T]
     if times[-1] < T:
         times.append(T)
 
     x0 = np.zeros(d)
     x0[0] = cfg.x_start
-    X0 = np.tile(x0, (n, 1))
-    Y0 = np.zeros((n, d))
+    if cfg.drift == "ou":
+        def clouds(i):
+            t = times[i]
+            return tuple(ou_stationary_sample(
+                OuLaw(d, a, t, start), n,
+                derive_stream(cfg.seed, "transient", noise, d, alpha, n, t))
+                for a, noise, start in ((alpha, "stable", x0), (2.0, "gauss", None)))
+    else:
+        drift = cfg.drift_spec(d)
 
-    def ensemble(job):
-        a, noise, start = job
-        return integrate_ensemble(
-            StableModel(d=d, alpha=a), drift, start, T, cfg.n_steps,
-            derive_stream(cfg.seed, "transient", noise, d, alpha, n),
-            record_times=times)
+        def ensemble(job):
+            a, noise, start = job
+            return integrate_ensemble(
+                StableModel(d=d, alpha=a), drift, start, T, cfg.n_steps,
+                derive_stream(cfg.seed, "transient", noise, d, alpha, n),
+                record_times=times)
 
-    # rows carry the simulated times: the grid steps nearest the requested ones
-    (times, snaps_x), (_, snaps_y) = parallel_map(
-        ensemble, [(alpha, "stable", X0), (2.0, "gauss", Y0)])
+        X0 = np.tile(x0, (n, 1))
+        Y0 = np.zeros((n, d))
+        (times, snaps_x), (_, snaps_y) = parallel_map(
+            ensemble, [(alpha, "stable", X0), (2.0, "gauss", Y0)])
+
+        def clouds(i):
+            return snaps_x[i], snaps_y[i]
 
     def estimate(i):
         if i is None:  # the stationary reference at the same alpha, n and estimator
@@ -412,7 +435,7 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
             return _estimate_pair(Xs, Ys, cfg,
                                   derive_stream(cfg.seed, "transient_stat", d, alpha, n))
         stream = derive_stream(cfg.seed, "transient_est", d, alpha, n, times[i])
-        return _estimate_pair(snaps_x[i], snaps_y[i], cfg, stream)
+        return _estimate_pair(*clouds(i), cfg, stream)
 
     (st_est, st_se), *results = parallel_map(estimate, [None, *range(len(times))])
     w1 = np.array([est.value for est, _ in results])

@@ -3,7 +3,8 @@
 Both SDEs then solve in closed form: `OuLaw` is their law at every time,
 alpha = 2 being the Brownian equation.  That makes this model the one place
 where the W1 gap has exact handles: exact draws and the characteristic
-function at every t, and a closed-form lower bound with the (2-alpha) rate.
+function at every t, a closed-form lower bound with the (2-alpha) rate, and
+in d = 1 the W1 itself at every t (`ou_w1_exact`, a quadrature).
 """
 from __future__ import annotations
 
@@ -109,6 +110,134 @@ def ou_w1_lower_exact(d: int, alpha: float) -> float:
             f"lower-bound evaluation paths disagree: {via_phi!r} vs {via_gamma!r}"
         )
     return via_phi
+
+
+# The d = 1 W1 quadrature.  The window reaches R = _TAIL_R widths past each
+# law's centre, a width being the larger of the two laws' scales over the
+# stationary Brownian one, 2^(-1/2): R = 40 at the stationary pair.  There
+# _BERGSTROM_TERMS terms of the stable tail's series (an expansion in
+# c R^(-alpha) <= 0.008) reach double precision, and the Gaussian's tail is
+# below 1e-300.  Both characteristic functions are below e^(-_CHAR_CUTOFF)
+# past the top frequency.
+_TAIL_R = 40.0
+_BERGSTROM_TERMS = 6
+_CHAR_CUTOFF = 45.0
+# Roots of the CDF gap lie within _ROOT_SPAN widths of a centre (beyond it
+# the Gaussian CDF is 0 or 1 to 1e-30 and the gap has the stable tail's
+# sign); the scan that brackets them steps by 1/_ROOT_STEPS of a width.
+_ROOT_SPAN = 12.0
+_ROOT_STEPS = 8
+_QUAD = dict(epsabs=1e-15, epsrel=1e-12)
+
+
+def _quad(f, a, b, **kw):
+    """scipy's quad at _QUAD, with its messages returned rather than warned:
+    a tolerance below roundoff is accepted, any other failure raises."""
+    from scipy.integrate import quad
+
+    out = quad(f, a, b, full_output=1, **kw, **_QUAD)
+    if len(out) > 3 and "roundoff" not in out[3]:
+        raise InvariantError(f"quadrature failed on [{a}, {b}]: {out[3]}")
+    return out[0]
+
+
+def ou_w1_exact(d: int, alpha: float, t: float = math.inf, x_start: float = 0.0) -> float:
+    """Exact W1 between OuLaw(1, alpha, t, x0) and OuLaw(1, 2, t), with
+    x0 = x_start: the stable and Brownian OU laws at time t, started
+    x_start apart (t = inf, the default: the stationary pair).  d = 1 only.
+
+    W1 = int |D(x)| dx with D = F_X - F_Y, the gap of the two CDFs.  With
+    m = e^(-t) x_start, c_X = (1 - e^(-alpha t))/(2 alpha) and
+    c_Y = (1 - e^(-2t))/4 the laws have characteristic functions
+    e^(i m xi - c_X |xi|^alpha) and e^(-c_Y xi^2), and
+
+        D(x) = D0(x - m) + [Phi_Y(x - m) - Phi_Y(x)],
+        D0(y) = (1/pi) int_0^top sin(y xi) (e^(-c_X xi^alpha) - e^(-c_Y xi^2)) / xi dxi
+
+    (Gil-Pelaez, Biometrika 38, 1951), with the Gaussian CDF Phi_Y in
+    closed form.  D0 is a plain finite-range quadrature with breakpoints at
+    k pi / y; QUADPACK's Fourier rule on [1, inf) is wrong for small y.  On
+    the window D is integrated between its roots, each bracketed by a scan
+    and found by brentq; past the window the Gaussian's tails vanish and
+    the stable tail's integral is Bergström's series (Ark. Mat. 2, 1952),
+
+        int_R^inf (1 - F_X) = (1/pi) sum_k (-1)^(k+1)/k! Gamma(k alpha)
+                              sin(k pi alpha/2) c_X^k R^(1 - k alpha)/(k alpha - 1).
+
+    At t = 0 and at alpha = 2 the two laws are translates, and W1 is |m|.
+    scipy is imported here, at the first call.
+    """
+    return sum(abs(p) for p in _gap_pieces(d, alpha, t, x_start))
+
+
+def _gap_pieces(d: int, alpha: float, t: float, x_start: float) -> list:
+    """The signed integrals of the CDF gap D over its pieces of constant
+    sign, left to right: `ou_w1_exact` sums their absolute values, and
+    their sum is int D = E Y - E X = -m.  At m = 0 the gap is odd, so only
+    [0, inf) is integrated and mirrored; the second half of the list covers
+    [0, inf) then, and -2 times its sum is E|X| - E|Y|, the lower bound
+    `ou_w1_lower_exact`."""
+    if d != 1:
+        raise NotImplementedError(f"ou_w1_exact is implemented for d = 1 only, got d = {d}")
+    if not 1.0 < alpha <= 2.0:
+        raise DomainError(f"alpha must lie in (1,2], got {alpha}")
+    if not t >= 0:
+        raise DomainError(f"t must be nonnegative, got {t}")
+    if not math.isfinite(x_start):
+        raise DomainError(f"x_start must be finite, got {x_start}")
+    m = abs(x_start) * math.exp(-t)  # W1 is even in the shift
+    if t == 0 or alpha == 2.0:
+        return [-m]
+    from scipy.optimize import brentq
+
+    cx = -math.expm1(-alpha * t) / (2.0 * alpha)
+    cy = -math.expm1(-2.0 * t) / 4.0
+    width = max(cx ** (1.0 / alpha), math.sqrt(2.0 * cy)) * math.sqrt(2.0)
+    top = max((_CHAR_CUTOFF / cx) ** (1.0 / alpha), math.sqrt(_CHAR_CUTOFF / cy))
+
+    def kernel(xi):  # (e^(-p) - e^(-q)) / xi, without cancellation where p ~ q
+        p, q = cx * xi ** alpha, cy * xi * xi
+        if abs(p - q) < 1.0:
+            return math.exp(-q) * math.expm1(q - p) / xi
+        return (math.exp(-p) - math.exp(-q)) / xi
+
+    def d0(y):
+        if y == 0.0:
+            return 0.0
+        a = abs(y)
+        points = list(np.arange(1, int(top * a / math.pi) + 1) * (math.pi / a))
+        val = _quad(lambda xi: math.sin(a * xi) * kernel(xi), 0.0, top,
+                    points=points, limit=len(points) + 100) / math.pi
+        return val if y > 0 else -val
+
+    def phi_y(x):  # Phi_Y(x) - 1/2
+        return 0.5 * math.erf(x / (2.0 * math.sqrt(cy)))
+
+    def gap(x):
+        return d0(x - m) + (phi_y(x - m) - phi_y(x) if m else 0.0)
+
+    def tail(r):  # int_r^inf (1 - F_X(m + y)) dy
+        return sum((-1) ** (k + 1) / math.factorial(k) * math.exp(log_gamma(k * alpha))
+                   * math.sin(k * math.pi * alpha / 2.0) * cx ** k
+                   * r ** (1.0 - k * alpha) / (k * alpha - 1.0)
+                   for k in range(1, _BERGSTROM_TERMS + 1)) / math.pi
+
+    R = _TAIL_R * width
+    lo, hi = (0.0 if m == 0 else -R), m + R
+    scan = np.concatenate([c + width * np.arange(-_ROOT_SPAN * _ROOT_STEPS,
+                                                 _ROOT_SPAN * _ROOT_STEPS + 1) / _ROOT_STEPS
+                           for c in {0.0, m}])
+    scan = np.unique(np.clip(scan, lo, hi))
+    signs = [gap(x) for x in scan]
+    edges = [lo] + [brentq(gap, a, b, xtol=1e-15 * width)
+                    for a, b, fa, fb in zip(scan, scan[1:], signs, signs[1:])
+                    if fa * fb < 0] + [hi]
+    pieces = [_quad(gap, a, b, limit=200) for a, b in zip(edges, edges[1:])]
+    pieces[-1] -= tail(R)  # past the window D = -(1 - F_X) on the right ...
+    if m == 0:
+        return [-p for p in reversed(pieces)] + pieces
+    pieces[0] += tail(m + R)  # ... and F_X on the left
+    return pieces
 
 
 def gammalower_check(alpha_grid) -> tuple:

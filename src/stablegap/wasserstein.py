@@ -45,8 +45,9 @@ from .rng import as_generator
 
 ASSIGNMENT_CAP = 4096
 
-# rows per chunk of `_norms`: of 1024 to 65536 rows, 4096 (655 KB at d = 20)
-# was among the fastest at d = 2 and d = 20 on a 2-vCPU x86 VM
+# rows per chunk of `_norms` (and values per chunk of `_sorted`'s check): of
+# 1024 to 65536 rows, 4096 (655 KB at d = 20) was among the fastest at d = 2
+# and d = 20 on a 2-vCPU x86 VM
 _NORM_ROWS = 4096
 
 _METHODS = ("exact_assignment", "exact_1d", "sliced", "radial")
@@ -140,7 +141,7 @@ def w1_exact_1d(X, Y) -> W1Estimate:
     absolute gap between sorted order statistics, which realizes the optimal
     assignment in one dimension."""
     X, Y = _inputs("exact_1d", X, Y)
-    value = float(np.abs(np.sort(X.points[:, 0]) - np.sort(Y.points[:, 0])).mean())
+    value = float(np.abs(_sorted(X.points[:, 0]) - _sorted(Y.points[:, 0])).mean())
     return W1Estimate(value=value, method="exact_1d", n_used=X.n)
 
 
@@ -241,6 +242,18 @@ def _mean_norm_lower(nx: np.ndarray, ny: np.ndarray) -> W1Estimate:
                       n_used=min(nx.size, ny.size), stderr=float(np.sqrt(se)))
 
 
+def _sorted(values: np.ndarray) -> np.ndarray:
+    """The values in ascending order: a sorted copy, or the array itself
+    when it is sorted already (a cloud its owner sorted in place).  The
+    order is checked _NORM_ROWS values at a time, so the check makes no
+    full-size temporary and stops at the first chunk out of order."""
+    for i in range(0, values.size - 1, _NORM_ROWS):
+        chunk = values[i:i + _NORM_ROWS + 1]
+        if (chunk[1:] < chunk[:-1]).any():
+            return np.sort(values)
+    return values
+
+
 def _resample_sorted(sorted_vals: np.ndarray, gen, out: np.ndarray) -> np.ndarray:
     """A bootstrap resample of a sorted scalar sample, written sorted into out.
 
@@ -271,9 +284,10 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
     Each resample draws the X indices, then the Y indices, then the sliced
     directions, from one generator.  In d = 1 every tag is the
     order-statistics formula, and radial's input rule has already reduced
-    its clouds to their norms, so each cloud is sorted once and each
-    resample takes its values at sorted indices (`_resample_sorted`), which
-    lets calls on different threads run at once.
+    its clouds to their norms, so each cloud is sorted once (not at all if
+    it is sorted already) and each resample takes its values at sorted
+    indices (`_resample_sorted`), which lets calls on different threads run
+    at once.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
@@ -283,8 +297,8 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
     if X.d == 1:
         # the two value buffers belong to this call, not the module, so
         # concurrent calls share no state
-        sx = np.sort(X.points[:, 0])
-        sy = np.sort(Y.points[:, 0])
+        sx = _sorted(X.points[:, 0])
+        sy = _sorted(Y.points[:, 0])
         gap = np.empty_like(sx)
         ry = np.empty_like(sy)
         for i in range(n_resamples):

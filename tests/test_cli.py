@@ -180,9 +180,10 @@ def test_out_csv_carries_config_hash(tmp_path, capsys):
 
 
 def test_steps_and_estimator_flags(capsys):
+    # --steps is read by the Euler transient, under --drift custom only
     code = main(["transient", "--seed", "6", "--samples", "32",
                  "--t-max", "1.0", "--steps", "200", "--alpha", "1.9",
-                 "--estimator", "radial"])
+                 "--estimator", "radial", "--drift", "custom", "--drift-param", "0"])
     assert code == 0
     out = capsys.readouterr().out
     assert "transient curve" in out and "plateau" in out
@@ -201,7 +202,8 @@ def test_removed_mean_norm_estimator_is_argument_error(capsys):
      "ou_stationary_sample", "d_grid repeats a value: (2, 2, 2)"),
     (["alpha-sweep", "--alpha", "1.9,1.9,1.9"],
      "ou_stationary_sample", "alpha_grid repeats a value: (1.9, 1.9, 1.9)"),
-    (["transient", "--alpha", "1.9", "--t-max", "1e6"],
+    (["transient", "--alpha", "1.9", "--t-max", "1e6", "--drift", "custom",
+      "--drift-param", "0"],
      "integrate_ensemble", "transient Euler work capped at 1e+09 member-steps"),
     (["gradient-check", "--alpha", "1.5,2.0", "--samples", "256"],
      "integrate_coupled_ensemble", "gradient_check adds the alpha = 2 reference itself"),

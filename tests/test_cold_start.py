@@ -1,5 +1,5 @@
 """Cold start: `import stablegap` loads numpy and nothing heavier, and scipy
-arrives only with the first exact assignment solve.
+arrives only with the first exact assignment solve or exact OU W1.
 
 The rest of the suite imports scipy itself, so each check here runs in a
 fresh interpreter that sees only the package's own imports.
@@ -72,3 +72,20 @@ def test_first_assignment_solve_on_two_workers_writes_the_serial_bytes(tmp_path)
         csvs[threads] = [p.read_bytes() for p in sorted(tmp_path.glob(f"threads{threads}*"))]
     assert len(csvs[1]) == 2  # the table and its plot companion
     assert csvs[2] == csvs[1]
+
+
+def test_ou_transient_loads_no_scipy_until_the_exact_w1():
+    # the exact-draw transient samples and sorts with numpy alone; the exact
+    # W1 it is checked against is a scipy quadrature
+    out = _fresh(f"""
+        import json, sys
+        from stablegap import ExperimentConfig, ou_w1_exact, run_transient
+        run_transient(ExperimentConfig(experiment="transient", seed=1, alpha_grid=(1.9,),
+                                       n_samples=64, T=1.0, n_bootstrap=4))
+        before = {SCIPY_LOADED}
+        ou_w1_exact(1, 1.9, 1.0, 10.0)
+        after = {SCIPY_LOADED}
+        print(json.dumps({{"before": before, "after": after}}))
+    """)
+    assert out["before"] == []
+    assert "scipy.integrate" in out["after"] and "scipy.optimize" in out["after"]

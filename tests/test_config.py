@@ -7,12 +7,13 @@ from stablegap import (
     ASSIGNMENT_CAP,
     DEFAULT_ALPHA_GRID,
     CapacityError,
+    DriftSpec,
     ExperimentConfig,
     load_config,
     parse_config_text,
 )
-from stablegap import cli
-from stablegap.config import GRID_COUNT_CAP, MEMBER_STEP_CAP
+from stablegap import cli, config
+from stablegap.config import GRID_COUNT_CAP, MEMBER_STEP_CAP, euler_step
 
 
 def base(**kw):
@@ -76,6 +77,8 @@ def test_validation_rejects(kw, match):
      "first value of alpha_grid only"),
     ({"experiment": "dim_sweep", "alpha_grid": (1.8, 1.9), "d_grid": (1, 2, 3)},
      "first value of alpha_grid only"),
+    ({"experiment": "transient", "alpha_grid": (1.9,), "n_steps": 5},
+     "transient reads n_steps only under drift=custom; got n_steps=5"),
 ])
 def test_fields_the_experiment_never_reads_are_refused(kw, match):
     # a value nothing reads would change the config hash and nothing else
@@ -173,8 +176,9 @@ def test_defaults_are_resolved_in_one_record():
     assert base(estimator="assignment").resolved().n_samples == ASSIGNMENT_CAP
     assert base(experiment="dim_sweep", alpha_grid=(1.9,), d_grid=(1, 2, 3)) \
         .resolved().n_samples == 1_000_000
+    # the OU transient draws each time's laws exactly and steps nothing
     r = base(experiment="transient", alpha_grid=(1.9,)).resolved()
-    assert (r.n_samples, r.n_steps, r.T, r.burn_in) == (4096, 8000, 8.0, None)
+    assert (r.n_samples, r.n_steps, r.T, r.burn_in) == (4096, None, 8.0, None)
     # tanh with c = 0.5: theta1 = 1.5 shortens the step, theta0 = 0.5 sets the burn-in
     r = base(experiment="transient", drift="custom", alpha_grid=(1.9,), T=2.0).resolved()
     assert (r.n_steps, r.burn_in) == (3000, 20.0)
@@ -214,8 +218,11 @@ def test_default_and_explicit_spellings_are_one_config():
      r"alpha_grid repeats a value: \(1.9, 1.9, 1.9\)"),
     ({"experiment": "dim_sweep", "alpha_grid": (1.9,), "d_grid": (2, 3, 2)}, ValueError,
      r"d_grid repeats a value: \(2, 3, 2\)"),
-    # 4096 members x 1e9 default steps, and 512 default members x 1e12 steps
-    ({"experiment": "transient", "alpha_grid": (1.9,), "T": 1e6}, CapacityError,
+    # 4096 members x 1e9 default steps (transient steps Euler under
+    # drift=custom only; drift_param = 0 is the OU drift), and 512 default
+    # members x 1e12 steps
+    ({"experiment": "transient", "alpha_grid": (1.9,), "T": 1e6, "drift": "custom",
+      "drift_param": 0.0}, CapacityError,
      r"transient Euler work capped at 1e\+09 member-steps.*n_steps=1000000000"),
     ({"experiment": "contraction", "n_steps": 10**12}, CapacityError,
      "contraction Euler work capped.*n_samples=512 x n_steps=1000000000000"),
@@ -229,6 +236,24 @@ def test_default_and_explicit_spellings_are_one_config():
 def test_runs_that_cannot_finish_are_refused_when_built(kw, error, match):
     with pytest.raises(error, match=match):
         base(**kw)
+
+
+def test_ou_transient_accepts_n_steps_at_its_euler_default_only():
+    # configs written when the OU transient stepped Euler spell out T/h;
+    # that value is accepted and leaves the record, so the hash is the one
+    # of leaving it out, and any other count is refused
+    plain = base(experiment="transient", alpha_grid=(1.9,), T=12.0)
+    spelled = base(experiment="transient", alpha_grid=(1.9,), T=12.0, n_steps=12_000)
+    assert spelled.resolved() == plain.resolved() and spelled.resolved().n_steps is None
+    assert spelled.config_hash() == plain.config_hash()
+    with pytest.raises(ValueError, match="reads n_steps only under drift=custom"):
+        base(experiment="transient", alpha_grid=(1.9,), T=12.0, n_steps=8000)
+    # nothing is stepped, so the Euler cap does not apply
+    base(experiment="transient", alpha_grid=(1.9,), T=1e6)
+    custom = base(experiment="transient", alpha_grid=(1.9,), drift="custom", n_steps=5)
+    assert custom.resolved().n_steps == 5
+    # the check knows the OU step without building the drift
+    assert config._OU_EULER_STEP == euler_step(DriftSpec.ornstein_uhlenbeck(1))
 
 
 def test_euler_work_cap_is_on_the_product_per_ensemble():

@@ -2,6 +2,7 @@
 cross-experiment reproducibility guarantees."""
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,15 @@ from stablegap import (
     EmpiricalMeasure,
     ExperimentConfig,
     InvariantError,
+    OuLaw,
     RateFit,
+    RngStream,
+    bootstrap_stderr,
     derive_stream,
     fit_rate,
     load_results,
+    ou_stationary_sample,
+    ou_w1_exact,
     ou_w1_lower_exact,
     parallel_map,
     run_alpha_sweep,
@@ -24,6 +30,7 @@ from stablegap import (
     run_dim_sweep,
     run_gradient_check,
     run_transient,
+    w1_exact_1d,
     w1_mean_norm_lower,
     w1_radial,
     w1_sliced,
@@ -235,6 +242,23 @@ def test_dim_sweep_holds_one_cloud_at_a_time(monkeypatch):
     assert peak < 2 * n * d_max * 8
 
 
+def test_d1_alpha_sweep_sorts_each_cloud_once(monkeypatch):
+    # in d = 1 each cloud is sorted in place and read in that order by the
+    # estimate and the bootstrap, which make no sorted copy: 16 MB clouds
+    # here, and a sweep that also held each cloud's sorted copy peaked at
+    # 120.7 MB
+    monkeypatch.setenv("STABLEGAP_THREADS", "1")
+    cfg = ExperimentConfig(experiment="alpha_sweep", seed=1, alpha_grid=(1.9, 1.95, 1.98),
+                           n_samples=2_000_000, n_bootstrap=2)
+    tracemalloc.start()
+    try:
+        run_alpha_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
 def test_dim_sweep_rejects_alpha_two():
     with pytest.raises(ValueError, match="dim_sweep needs alpha < 2"):
         ExperimentConfig(experiment="dim_sweep", seed=5, alpha_grid=(2.0,),
@@ -285,10 +309,12 @@ def test_short_transient_plateau_excludes_the_start_point():
 
 
 def test_transient_rows_carry_the_simulated_times(tmp_path):
+    # Euler runs under drift=custom only; drift_param = 0 is the OU drift.
     # 4 steps of h = 2: every requested time up to 1.0 is nearest step 0, so
     # those rows hold the t = 0 state, and the decay fit must see them there
     out = tmp_path / "transient.csv"
     res = run_transient(ExperimentConfig(experiment="transient", seed=1, alpha_grid=(1.9,),
+                                         drift="custom", drift_param=0.0,
                                          n_samples=16, n_steps=4, n_bootstrap=4,
                                          output_path=str(out)))
     assert list(res.times) == [0.0] * 5 + [2.0] * 3 + [4.0] * 3 + [6.0, 8.0]
@@ -297,6 +323,56 @@ def test_transient_rows_carry_the_simulated_times(tmp_path):
     assert np.all(res.w1[:5] == res.w1[0]) and np.all(res.stderr[:5] == res.stderr[0])
     _, rows = load_results(str(out))
     assert [float(r[0]) for r in rows] == list(res.times)
+
+
+def test_ou_transient_rows_are_exact_draws_at_the_requested_times(monkeypatch):
+    # under the OU drift each row draws its two clouds from the time-t laws,
+    # each from its own stream, and nothing is integrated
+    def spy(*args, **kwargs):
+        raise AssertionError("integrated an ensemble under the OU drift")
+
+    monkeypatch.setattr(experiments, "integrate_ensemble", spy)
+    cfg = ExperimentConfig(experiment="transient", seed=4, alpha_grid=(1.8,), n_samples=128,
+                           T=2.2, n_bootstrap=4, x_start=3.0)
+    res = run_transient(cfg)
+    assert list(res.times) == [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.2]
+    assert res.w1[0] == 3.0 and res.stderr[0] == 0.0
+    for i in (1, 7):
+        t = float(res.times[i])  # a stream is named by repr(t), which numpy floats change
+        X, Y = (ou_stationary_sample(OuLaw(1, a, t, x0), 128,
+                                     derive_stream(4, "transient", noise, 1, 1.8, 128, t))
+                for a, noise, x0 in ((1.8, "stable", [3.0]), (2.0, "gauss", None)))
+        stream = derive_stream(4, "transient_est", 1, 1.8, 128, t)
+        assert res.w1[i] == w1_sliced(X, Y, 64, stream.child(1)).value
+        assert res.stderr[i] == bootstrap_stderr(X, Y, "sliced", 4, stream.child(2))
+
+
+def test_transient_curves_sit_on_the_exact_w1():
+    # The exact-draw curve (drift=ou) and the Euler curve of the same drift
+    # (drift=custom, drift_param = 0) against the exact d = 1 W1 of the two
+    # time-t laws.  A row may sit above the truth by the same-law floor at
+    # this n (measured here, from two clouds of one law) and on either side
+    # by 3 of its bootstrap standard errors.
+    t0 = time.perf_counter()
+    alpha, n, x_start = 1.9, 4096, 10.0
+    cfg = ExperimentConfig(experiment="transient", seed=16, alpha_grid=(alpha,), n_samples=n,
+                           T=12.0, n_bootstrap=20, x_start=x_start)
+    exact_draws = run_transient(cfg)
+    euler = run_transient(dataclasses.replace(cfg, drift="custom", drift_param=0.0))
+    a, b = (ou_stationary_sample(OuLaw(1, alpha), n, RngStream(16, k)) for k in (1, 2))
+    floor = w1_exact_1d(a, b).value
+    assert 0.0 < floor < 0.05
+    exact = {}
+    for res in (exact_draws, euler):
+        assert res.w1[0] == x_start and res.times[0] == 0.0
+        # every other row of the grid: the exact value costs about 1 s a time
+        for t, v, se in list(zip(res.times, res.w1, res.stderr))[1::2]:
+            key = round(t, 9)  # Euler's grid times sit within rounding of the requested
+            if key not in exact:
+                exact[key] = ou_w1_exact(1, alpha, t, x_start)
+            assert -3.0 * se <= v - exact[key] <= floor + 3.0 * se, \
+                f"t={t}: {v:.6f} vs exact {exact[key]:.6f} (se {se:.2g}, floor {floor:.3g})"
+    assert time.perf_counter() - t0 < 120.0, "runtime budget exceeded"
 
 
 def test_transient_decay_rate_near_one():
@@ -392,21 +468,23 @@ def test_results_identical_across_worker_counts(monkeypatch):
 
 
 def test_transient_identical_across_worker_counts(monkeypatch, tmp_path):
-    # both ensembles, their draw-ahead helpers and the stationary reference
-    # run concurrently under a cap of 2, and in one thread under a cap of 1
-    results, csvs = [], []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("STABLEGAP_THREADS", threads)
-        out = tmp_path / f"t{threads}.csv"
-        results.append(run_transient(ExperimentConfig(
-            experiment="transient", seed=12, alpha_grid=(1.7,), n_samples=256, T=2.0,
-            n_bootstrap=4, output_path=str(out))))
-        csvs.append(out.read_bytes())
-    r1, r2 = results
-    assert csvs[0] == csvs[1] and len(csvs[0]) > 0
-    assert r1.stationary_w1 == r2.stationary_w1
-    assert r1.stationary_se == r2.stationary_se
-    assert r1.plateau == r2.plateau and r1.plateau_se == r2.plateau_se
+    # OU: the rows' draws and estimates and the stationary reference run
+    # concurrently under a cap of 2; custom: both Euler ensembles and their
+    # draw-ahead helpers do; and everything in one thread under a cap of 1
+    for drift in ({}, {"drift": "custom", "drift_param": 0.0}):
+        results, csvs = [], []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STABLEGAP_THREADS", threads)
+            out = tmp_path / f"t{threads}.csv"
+            results.append(run_transient(ExperimentConfig(
+                experiment="transient", seed=12, alpha_grid=(1.7,), n_samples=256, T=2.0,
+                n_bootstrap=4, output_path=str(out), **drift)))
+            csvs.append(out.read_bytes())
+        r1, r2 = results
+        assert csvs[0] == csvs[1] and len(csvs[0]) > 0
+        assert r1.stationary_w1 == r2.stationary_w1
+        assert r1.stationary_se == r2.stationary_se
+        assert r1.plateau == r2.plateau and r1.plateau_se == r2.plateau_se
 
 
 def test_csv_outputs_byte_identical_across_reruns(tmp_path):

@@ -1,7 +1,8 @@
 """Closed-form linear-SDE results: the OU law at every time (exact draws and
-characteristic function), and the exact W1 lower bound with its (2-alpha)
-rate window.
+characteristic function), the exact W1 lower bound with its (2-alpha) rate
+window, and the exact d = 1 W1 at every time.
 """
+import functools
 import math
 
 import mpmath as mp
@@ -15,9 +16,11 @@ from stablegap import (
     empirical_char_function,
     gammalower_check,
     ou_stationary_sample,
+    ou_w1_exact,
     ou_w1_lower_exact,
     stable_mean_norm,
 )
+from stablegap.ou import _gap_pieces
 from conftest import z_score
 
 mp.mp.dps = 50
@@ -204,3 +207,70 @@ def test_transient_char_rejects_bad_domain():
     for x0 in ([math.nan], [math.inf]):
         with pytest.raises(DomainError, match="x0 must be a finite vector"):
             OuLaw(1, 1.5, t=1.0, x0=x0)
+
+
+# ---------------------------------------------------------------------------
+# the exact d = 1 W1 (Gil-Pelaez quadrature with a Bergström tail)
+
+@functools.lru_cache(maxsize=None)
+def gap_pieces(alpha, t=math.inf, x_start=0.0):
+    return tuple(_gap_pieces(1, alpha, t, x_start))
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.9, 1.998, 1.9999])
+def test_exact_w1_signed_integral_is_the_lower_bound(alpha):
+    # at x_start = 0 the CDF gap D is odd; -2 int_0^inf D = E|X| - E|Y|, the
+    # closed form, so the quadrature and the tail series are checked against
+    # an expression that shares no code with them
+    pieces = gap_pieces(alpha)
+    half = pieces[len(pieces) // 2:]
+    assert -2.0 * sum(half) == pytest.approx(ou_w1_lower_exact(1, alpha), rel=1e-9)
+    # D changes sign once on (0, inf): positive, then negative
+    assert len(half) == 2 and half[0] > 0 > half[1]
+    assert ou_w1_exact(1, alpha) == sum(abs(p) for p in pieces)
+
+
+@pytest.mark.parametrize("alpha, w1", [(1.5, 0.26651353), (1.9, 0.028135318),
+                                       (1.998, 0.00050415132)])
+def test_exact_w1_matches_independent_stationary_values(alpha, w1):
+    # values of an independent quadrature script, to 8 significant digits
+    assert sum(abs(p) for p in gap_pieces(alpha)) == pytest.approx(w1, rel=1e-7)
+
+
+def test_exact_w1_at_time_zero_is_the_start_gap():
+    # both laws are point masses x_start apart, and alpha = 2 is one law
+    # shifted at every time
+    for alpha in (1.5, 1.9, 2.0):
+        for x in (10.0, -3.5, 0.0, 1e-300):
+            assert ou_w1_exact(1, alpha, 0.0, x) == abs(x)
+    assert ou_w1_exact(1, 2.0, 1.0, 10.0) == 10.0 * math.exp(-1.0)
+
+
+def test_exact_w1_tends_to_the_stationary_value():
+    stationary = sum(abs(p) for p in gap_pieces(1.9))
+    late = sum(abs(p) for p in gap_pieces(1.9, 12.0, 10.0))
+    assert abs(late - stationary) <= 1e-6
+    # the independent script's value, which it gives to 6 significant digits
+    assert late == pytest.approx(0.0281356, abs=5e-8)
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 12.0])
+def test_exact_w1_pieces_sum_to_the_mean_gap(t):
+    # int D over the line = E Y - E X = -e^(-t) x_start, in closed form;
+    # the early curve sits just above the mean gap
+    pieces = gap_pieces(1.9, t, 10.0)
+    m = 10.0 * math.exp(-t)
+    assert sum(pieces) == pytest.approx(-m, abs=1e-12)
+    assert m <= sum(abs(p) for p in pieces) <= m + 0.05
+
+
+def test_exact_w1_domain():
+    with pytest.raises(NotImplementedError, match="d = 1 only"):
+        ou_w1_exact(2, 1.9)
+    for alpha in (1.0, 2.5):
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            ou_w1_exact(1, alpha)
+    with pytest.raises(DomainError, match="t must be nonnegative"):
+        ou_w1_exact(1, 1.9, -1.0)
+    with pytest.raises(DomainError, match="x_start must be finite"):
+        ou_w1_exact(1, 1.9, 1.0, math.inf)
