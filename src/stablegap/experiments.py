@@ -29,6 +29,7 @@ from .wasserstein import (
     _mean_norm_lower,
     _norms,
     bootstrap_stderr,
+    joint_bootstrap,
     w1_assignment,
     w1_estimate,
     w1_exact_1d,
@@ -383,21 +384,28 @@ _TRANSIENT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.5,
 
 def run_transient(cfg: ExperimentConfig) -> TransientResult:
     """W1 between the laws of the two processes along time, started from
-    points |x0 - y0| = x_start apart, with independent noises.
+    points |x0 - y0| = x_start apart.
 
     The curve decays like e^{-t} |x0-y0| early on and levels off at the
     stationary gap; the plateau is compared against the stationary estimate
-    at the same alpha and sample size.
+    at the same alpha and sample size, drawn from its own streams.
 
-    OU drift: each row's task draws its two clouds exactly from the time-t
-    laws, OuLaw(d, alpha, t, x0) and OuLaw(d, 2, t), each from its own
-    stream, and estimates on them; W1 at t reads only the two marginals, so
-    no path links the rows, and the rows carry the requested times.  Custom
-    drift (no closed form): both ensembles are integrated by Euler and the
-    rows carry the simulated times, the grid steps nearest the requested ones.
+    Each noise has one set of n members, and every row is made from it.
+    OU drift: the members are n exact draws of the stationary law
+    OuLaw(d, a), and each row is their affine image OuLaw.from_stationary,
+    an exact draw of the time-t law OuLaw(d, alpha, t, x0) or OuLaw(d, 2, t);
+    W1 at t reads only the two marginals, so the rows carry the requested
+    times, and in d = 1 the members are sorted once, so every row is sorted.
+    Custom drift (no closed form): the members are the paths of two Euler
+    ensembles, each row a snapshot, carrying the simulated time, the grid
+    step nearest the requested one.  One joint bootstrap resamples the
+    members of both noises for all rows at once (`joint_bootstrap`): each
+    row's stderr is the SD of its replicates, and plateau_se the SD of the
+    replicate plateau means, since the rows share their members.
     """
     cfg = cfg.resolved()
     alpha, d, n, T = cfg.alpha_grid[0], cfg.d_grid[0], cfg.n_samples, cfg.T
+    method = ESTIMATORS[cfg.estimator]
     times = [t for t in _TRANSIENT_GRID if t <= T]
     if times[-1] < T:
         times.append(T)
@@ -405,12 +413,18 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
     x0 = np.zeros(d)
     x0[0] = cfg.x_start
     if cfg.drift == "ou":
-        def clouds(i):
-            t = times[i]
-            return tuple(ou_stationary_sample(
-                OuLaw(d, a, t, start), n,
-                derive_stream(cfg.seed, "transient", noise, d, alpha, n, t))
-                for a, noise, start in ((alpha, "stable", x0), (2.0, "gauss", None)))
+        base_x, base_y = (ou_stationary_sample(
+            OuLaw(d, a), n, derive_stream(cfg.seed, "transient", noise, d, alpha, n)).points
+            for a, noise in ((alpha, "stable"), (2.0, "gauss")))
+        if d == 1:
+            base_x.sort(axis=0)
+            base_y.sort(axis=0)
+        laws = [(OuLaw(d, alpha, t, x0), OuLaw(d, 2.0, t)) for t in times]
+
+        def rows(ix, iy):
+            px, py = base_x[ix], base_y[iy]
+            for law_x, law_y in laws:
+                yield law_x.from_stationary(px), law_y.from_stationary(py)
     else:
         drift = cfg.drift_spec(d)
 
@@ -426,27 +440,36 @@ def run_transient(cfg: ExperimentConfig) -> TransientResult:
         (times, snaps_x), (_, snaps_y) = parallel_map(
             ensemble, [(alpha, "stable", X0), (2.0, "gauss", Y0)])
 
-        def clouds(i):
-            return snaps_x[i], snaps_y[i]
+        def rows(ix, iy):
+            for X, Y in zip(snaps_x, snaps_y):
+                yield X[ix], Y[iy]
 
-    def estimate(i):
-        if i is None:  # the stationary reference at the same alpha, n and estimator
-            Xs, Ys = _stationary_pair(d, alpha, n, cfg)
-            return _estimate_pair(Xs, Ys, cfg,
-                                  derive_stream(cfg.seed, "transient_stat", d, alpha, n))
-        stream = derive_stream(cfg.seed, "transient_est", d, alpha, n, times[i])
-        return _estimate_pair(*clouds(i), cfg, stream)
+    def stationary():  # the reference at the same alpha, n and estimator
+        Xs, Ys = _stationary_pair(d, alpha, n, cfg)
+        return _estimate_pair(Xs, Ys, cfg, derive_stream(cfg.seed, "transient_stat", d, alpha, n))
 
-    (st_est, st_se), *results = parallel_map(estimate, [None, *range(len(times))])
-    w1 = np.array([est.value for est, _ in results])
-    stderr = np.array([se for _, se in results])
+    def estimates():
+        everyone = slice(None)
+        return [w1_estimate(method, X, Y, cfg.n_projections,
+                            derive_stream(cfg.seed, "transient_est", d, alpha, n, t).child(1)).value
+                for t, (X, Y) in zip(times, rows(everyone, everyone))]
+
+    def bootstrap():
+        return joint_bootstrap(rows, n, d, method, cfg.n_bootstrap,
+                               derive_stream(cfg.seed, "transient_est", d, alpha, n).child(2),
+                               cfg.n_projections)
+
+    (st_est, st_se), w1, reps = parallel_map(lambda task: task(),
+                                             [stationary, estimates, bootstrap])
+    w1 = np.array(w1)
+    stderr = np.array([r.std(ddof=1) for r in reps])
     times = np.array(times)
 
     # plateau: average of the final quarter of the curve (at least 3 points,
-    # but never the start point)
+    # but never the start point); its SE is the SD of the replicate means
     k = min(max(3, len(times) // 4), len(times) - 1)
     plateau = float(w1[-k:].mean())
-    plateau_se = float(np.sqrt(np.mean(stderr[-k:] ** 2) / k))
+    plateau_se = float(reps[-k:].mean(axis=0).std(ddof=1))
 
     # early decay: fit log(W1) on rows clearly above the plateau
     early = w1 > max(5.0 * plateau, 1e-12)

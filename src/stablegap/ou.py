@@ -69,6 +69,19 @@ class OuLaw:
         phase = float(xi @ self.x0) * math.exp(-self.t)
         return damp * math.cos(phase), damp * math.sin(phase)
 
+    def from_stationary(self, points: np.ndarray) -> np.ndarray:
+        """Draws of this law as the affine image of draws of the stationary
+        law OuLaw(d, alpha): that law is s(inf) L_1, so
+
+            X_t = e^(-t) x0 + r(t) X_inf,    r(t)^alpha = 1 - e^(-alpha t),
+
+        a new array.  r(t) >= 0, so in d = 1 the image of sorted draws is
+        sorted; at t = 0 every draw is x0 exactly."""
+        out = (-math.expm1(-self.alpha * self.t)) ** (1.0 / self.alpha) * points
+        if math.isfinite(self.t) and np.count_nonzero(self.x0):
+            out += math.exp(-self.t) * self.x0
+        return out
+
 
 def ou_stationary_sample(law: OuLaw, n: int, rng) -> EmpiricalMeasure:
     """n exact iid draws from the law at its time t (no discretization or

@@ -267,11 +267,16 @@ def _resample_sorted(sorted_vals: np.ndarray, gen, out: np.ndarray) -> np.ndarra
     (the stream's own width) and, below 2**31, sorted as int32: the same
     values, sorted faster."""
     n = sorted_vals.shape[0]
-    idx = gen.integers(0, n, n)
-    if n < 2**31:
+    return np.take(sorted_vals, _sorted_indices(gen.integers(0, n, n)), out=out, mode="clip")
+
+
+def _sorted_indices(idx: np.ndarray) -> np.ndarray:
+    """Drawn int64 indices in ascending order, sorted as int32 when they
+    fit: the same values, sorted faster."""
+    if idx.size < 2**31:
         idx = idx.astype(np.int32)
     idx.sort()
-    return np.take(sorted_vals, idx, out=out, mode="clip")
+    return idx
 
 
 def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
@@ -312,3 +317,67 @@ def bootstrap_stderr(X, Y, estimator: str, n_resamples: int = 200, rng=None,
             vals[i] = w1_estimate(estimator, X.points[ix], Y.points[iy],
                                   n_projections, gen).value
     return float(vals.std(ddof=1))
+
+
+def joint_bootstrap(rows, n: int, d: int, estimator: str, n_resamples: int = 200,
+                    rng=None, n_projections: int = 64) -> np.ndarray:
+    """Bootstrap replicates of the estimates of several rows whose clouds
+    share their members.
+
+    rows(ix, iy) yields, row by row, the two (m, d) clouds of the members ix
+    of an X set and iy of a Y set of n members each, member by member:
+    every row cloud of rows(ix, iy) is that of rows(all, all) taken at ix
+    (or iy), where all = slice(None) gives the rows themselves.  Each
+    resample draws the X indices, then the Y indices, once for all rows, as
+    bootstrap_stderr does for one pair, and every row is recomputed on those
+    members; so the replicates of two rows are as dependent as the rows
+    are, and a statistic of several rows (a mean over them) takes its
+    standard error from the replicates of that statistic.  Returns a
+    (rows, n_resamples) array with contiguous rows.  For one row its
+    std(ddof=1) is bootstrap_stderr's on that row's clouds, bit for bit,
+    wherever both resample the same points: always in d > 1, and in d = 1
+    and under radial when the members come in the order of their values
+    (bootstrap_stderr resamples the sorted values there).
+
+    In d = 1 and under radial (on the norms) a row's value is the
+    order-statistics formula, and the indices are sorted: a row cloud
+    whose values are sorted member by member (a nondecreasing image of
+    sorted members) then comes out sorted at every resample, so it is
+    checked once, on the rows themselves, and costs O(n) per resample;
+    any other row cloud is sorted per resample.  Otherwise each row runs
+    its estimator, the sliced directions drawn row after row from the one
+    generator.  One row's clouds are held at a time.
+    """
+    if n_resamples < 2:
+        raise ValueError("n_resamples must be >= 2")
+    if estimator not in _METHODS:
+        raise ValueError(f"unknown estimator {estimator!r}; choose from {_METHODS}")
+    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
+    one_d = d == 1 or estimator == "radial"
+
+    def values(x, y):  # the 1-d values of a row's two clouds
+        return (_norms(x), _norms(y)) if estimator == "radial" else (x[:, 0], y[:, 0])
+
+    if one_d:
+        everyone = slice(None)
+        ordered = [tuple(_sorted(v) is v for v in values(x, y))
+                   for x, y in rows(everyone, everyone)]
+
+    vals = []
+    for _ in range(n_resamples):
+        ix = gen.integers(0, n, n)
+        iy = gen.integers(0, n, n)
+        if not one_d:
+            vals.append([w1_estimate(estimator, x, y, n_projections, gen).value
+                         for x, y in rows(ix, iy)])
+            continue
+        row_vals = []
+        for (x, y), (x_sorted, y_sorted) in zip(rows(_sorted_indices(ix), _sorted_indices(iy)),
+                                                ordered):
+            x, y = values(x, y)
+            gap = np.subtract(x if x_sorted else np.sort(x), y if y_sorted else np.sort(y))
+            # mean() as the sum over n: the same two operations, bit for bit,
+            # without np.mean's Python-level overhead
+            row_vals.append(np.abs(gap, out=gap).sum() / n)
+        vals.append(row_vals)
+    return np.ascontiguousarray(np.array(vals).T)

@@ -17,9 +17,9 @@ from stablegap import (
     OuLaw,
     RateFit,
     RngStream,
-    bootstrap_stderr,
     derive_stream,
     fit_rate,
+    joint_bootstrap,
     load_results,
     ou_stationary_sample,
     ou_w1_exact,
@@ -326,8 +326,10 @@ def test_transient_rows_carry_the_simulated_times(tmp_path):
 
 
 def test_ou_transient_rows_are_exact_draws_at_the_requested_times(monkeypatch):
-    # under the OU drift each row draws its two clouds from the time-t laws,
-    # each from its own stream, and nothing is integrated
+    # under the OU drift each noise draws one stationary cloud from its
+    # named stream, sorted in place in d = 1, and every row is the affine
+    # image of the two at its time (OuLaw.from_stationary), an exact draw of
+    # the time-t law; nothing is integrated
     def spy(*args, **kwargs):
         raise AssertionError("integrated an ensemble under the OU drift")
 
@@ -337,14 +339,89 @@ def test_ou_transient_rows_are_exact_draws_at_the_requested_times(monkeypatch):
     res = run_transient(cfg)
     assert list(res.times) == [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.2]
     assert res.w1[0] == 3.0 and res.stderr[0] == 0.0
-    for i in (1, 7):
-        t = float(res.times[i])  # a stream is named by repr(t), which numpy floats change
-        X, Y = (ou_stationary_sample(OuLaw(1, a, t, x0), 128,
-                                     derive_stream(4, "transient", noise, 1, 1.8, 128, t))
-                for a, noise, x0 in ((1.8, "stable", [3.0]), (2.0, "gauss", None)))
+    base_x, base_y = (np.sort(ou_stationary_sample(
+        OuLaw(1, a), 128, derive_stream(4, "transient", noise, 1, 1.8, 128)).points, axis=0)
+        for a, noise in ((1.8, "stable"), (2.0, "gauss")))
+    images = []
+    for i, t in enumerate(res.times):
+        t = float(t)  # a stream is named by repr(t), which numpy floats change
+        X = OuLaw(1, 1.8, t, [3.0]).from_stationary(base_x)
+        Y = OuLaw(1, 2.0, t).from_stationary(base_y)
+        assert np.all(np.diff(X[:, 0]) >= 0) and np.all(np.diff(Y[:, 0]) >= 0)
         stream = derive_stream(4, "transient_est", 1, 1.8, 128, t)
         assert res.w1[i] == w1_sliced(X, Y, 64, stream.child(1)).value
-        assert res.stderr[i] == bootstrap_stderr(X, Y, "sliced", 4, stream.child(2))
+        images.append((X, Y))
+
+    def rows(ix, iy):
+        for X, Y in images:
+            yield X[ix], Y[iy]
+
+    reps = joint_bootstrap(rows, 128, 1, "sliced", 4,
+                           derive_stream(4, "transient_est", 1, 1.8, 128).child(2))
+    assert list(res.stderr) == [r.std(ddof=1) for r in reps]
+
+
+@pytest.mark.parametrize("drift", [{}, {"drift": "custom", "drift_param": 0.0}])
+def test_transient_plateau_se_is_the_sd_of_the_replicate_plateau_means(monkeypatch, drift):
+    # the rows share their members, so the plateau's rows are not
+    # independent: its SE is the SD of the plateau mean over the joint
+    # bootstrap's replicates, not a combination of the rows' SEs
+    seen = []
+
+    def keep(*args, **kwargs):
+        seen.append(joint_bootstrap(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "joint_bootstrap", keep)
+    res = run_transient(ExperimentConfig(experiment="transient", seed=5, alpha_grid=(1.8,),
+                                         n_samples=256, T=3.0, n_bootstrap=30, **drift))
+    (reps,) = seen
+    assert reps.shape == (len(res.times), 30)
+    k = 3  # the last quarter of the 9 rows, at least 3
+    assert res.plateau == res.w1[-k:].mean()
+    assert res.plateau_se == reps[-k:].mean(axis=0).std(ddof=1)
+    assert list(res.stderr) == [r.std(ddof=1) for r in reps]
+
+
+def test_custom_transient_bootstrap_resamples_whole_paths(monkeypatch):
+    # under drift=custom the rows are snapshots of one ensemble per noise:
+    # each resample draws the stable members, then the Gaussian members,
+    # once, and takes every snapshot at those paths
+    snaps = []
+    real = experiments.integrate_ensemble
+
+    def keep(*args, **kwargs):
+        out = real(*args, **kwargs)
+        snaps.append(out[1])
+        return out
+
+    monkeypatch.setenv("STABLEGAP_THREADS", "1")  # the stable ensemble first
+    monkeypatch.setattr(experiments, "integrate_ensemble", keep)
+    n, R = 64, 6
+    res = run_transient(ExperimentConfig(experiment="transient", seed=7, alpha_grid=(1.7,),
+                                         drift="custom", drift_param=0.0, n_samples=n,
+                                         n_steps=100, T=1.0, n_bootstrap=R))
+    snaps_x, snaps_y = snaps
+    gen = derive_stream(7, "transient_est", 1, 1.7, n).child(2).generator()
+    ref = []
+    for _ in range(R):
+        ix, iy = gen.integers(0, n, n), gen.integers(0, n, n)
+        ref.append([w1_exact_1d(X[ix], Y[iy]).value for X, Y in zip(snaps_x, snaps_y)])
+    assert list(res.stderr) == [np.std(r, ddof=1) for r in np.transpose(ref)]
+
+
+@pytest.mark.parametrize("seed", [1259, 1280])
+def test_transient_benchmark_config_decreases_above_twice_the_plateau(seed):
+    # the benchmark's transient config at two seeds whose rows, each drawn
+    # from its own stream, rose above the row before while above twice the
+    # plateau; rows made from one cloud per noise decrease with t there
+    res = run_transient(ExperimentConfig(
+        experiment="transient", seed=seed, drift="ou", alpha_grid=(1.9,), d_grid=(1,),
+        n_samples=4096, T=12.0, estimator="sliced", n_bootstrap=200, n_projections=64,
+        x_start=10.0))
+    early = res.w1[res.w1 > 2.0 * res.plateau]
+    assert early[0] == res.w1[0] == 10.0
+    assert np.all(np.diff(early) < 0), early
 
 
 def test_transient_curves_sit_on_the_exact_w1():

@@ -58,15 +58,16 @@ def test_lower_bound_domain():
 
 # True d=1 distances between the two stationary laws, computed independently
 # by numerical inversion of the characteristic functions: the CDF difference
-# via the sine-kernel (Gil-Pelaez) integral on an adaptive quadrature grid,
-# integrated in |x| out to where an analytic stable-tail expansion takes
-# over.  Digits are stable to ~1e-6 relative under grid refinement.
+# via the sine-kernel (Gil-Pelaez) integral, integrated in |x| out to where
+# an analytic stable-tail expansion takes over.  Every entry agrees with
+# `ou_w1_exact` to 3.2e-7 relative or better (the u = 0.01 and 0.002 entries,
+# 8-digit pins of that independent script, to 1.5e-8).
 TRUE_W1_D1 = {
     0.2: 6.385722e-2,
     0.1: 2.813532e-2,
     0.05: 1.327995e-2,
-    0.01: 2.541348e-3,
-    0.002: 5.024296e-4,
+    0.01: 2.5423097e-3,
+    0.002: 5.0415132e-4,
 }
 
 
@@ -199,6 +200,26 @@ def test_transient_char_matches_exact_construction():
         cos, sin = np.cos(xi * samples), np.sin(xi * samples)
         assert abs(cos.mean() - re_t) / (cos.std(ddof=1) / math.sqrt(n)) < 4.0
         assert abs(sin.mean() - im_t) / (sin.std(ddof=1) / math.sqrt(n)) < 4.0
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 1.6), (3, 1.9), (2, 2.0)])
+def test_from_stationary_is_the_time_t_law(d, alpha):
+    # the stationary law is s(inf) L_1, so its image e^(-t) x0 + r(t) X_inf
+    # is e^(-t) x0 + s(t) L_1: a point at the stationary scale maps to the
+    # time-t scale; t = 0 maps every point to x0 and t = inf is the identity
+    x0 = np.arange(1.0, d + 1.0)
+    pts = np.full((2, d), OuLaw(d, alpha).scale)
+    pts[1] *= -3.0
+    for t in (0.0, 0.3, 2.5, math.inf):
+        law = OuLaw(d, alpha, t, x0)
+        shift = math.exp(-t) * x0
+        want = np.array([shift + law.scale, shift - 3.0 * law.scale])
+        assert law.from_stationary(pts) == pytest.approx(want, rel=1e-14, abs=1e-15)
+    assert np.array_equal(OuLaw(d, alpha, 0.0, x0).from_stationary(pts), [x0, x0])
+    assert np.array_equal(OuLaw(d, alpha).from_stationary(pts), pts)
+    # r(t) >= 0: sorted d = 1 draws stay sorted
+    v = np.sort(RngStream(56).generator().standard_normal((50, 1)), axis=0)
+    assert np.all(np.diff(OuLaw(1, alpha, 0.7, [5.0]).from_stationary(v)[:, 0]) >= 0)
 
 
 def test_transient_char_rejects_bad_domain():

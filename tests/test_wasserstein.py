@@ -25,6 +25,7 @@ from stablegap import (
     RngStream,
     W1Estimate,
     bootstrap_stderr,
+    joint_bootstrap,
     w1_assignment,
     w1_estimate,
     w1_exact_1d,
@@ -406,6 +407,95 @@ def test_bootstrap_general_loop_matches_plain_loop(estimator, plain, d):
         iy = g2.integers(0, n, n)
         ref.append(plain(X[ix], Y[iy], k, g2))
     assert se == np.std(ref, ddof=1)
+
+
+def _one_row(X, Y):
+    def rows(ix, iy):
+        yield X[ix], Y[iy]
+    return rows
+
+
+@pytest.mark.parametrize("d, estimator, image", [
+    (1, "sliced", False), (1, "sliced", True), (2, "sliced", False), (2, "radial", False)])
+def test_one_row_joint_bootstrap_is_bootstrap_stderr(d, estimator, image):
+    # one row: the joint bootstrap draws the X indices, then the Y indices,
+    # then (sliced, d >= 2) the directions, as bootstrap_stderr does.  The
+    # d = 1 path of bootstrap_stderr indexes the sorted values, the joint
+    # bootstrap the members, so the members come in the order of their 1-d
+    # values (radial: of their norms); a nondecreasing affine image of
+    # sorted members is sorted too, and its resamples are taken in order
+    n, R = 300, 30
+    gen = RngStream(80).generator()
+    X, Y = gen.standard_normal((n, d)) + 0.3, 1.2 * gen.standard_normal((n, d))
+    if d == 1 or estimator == "radial":
+        X, Y = (C[np.argsort(_norms(C) if estimator == "radial" else C[:, 0])] for C in (X, Y))
+    if image:
+        X, Y = 0.7 * X + 4.0, 0.9 * Y
+    reps = joint_bootstrap(_one_row(X, Y), n, d, estimator, R, RngStream(81),
+                           n_projections=8)
+    assert reps.shape == (1, R)
+    assert reps[0].std(ddof=1) == bootstrap_stderr(X, Y, estimator, R, RngStream(81),
+                                                   n_projections=8)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_joint_bootstrap_resamples_the_members_of_every_row_at_once(d):
+    # rows made from one member set, like the snapshots of one ensemble:
+    # each resample draws the X and the Y members once, and every row is
+    # recomputed on those members (the plain loop below).  A repeated row
+    # has the same replicates; no row's order is assumed
+    n, R, k = 200, 12, 5
+    gen = RngStream(82).generator()
+    X = gen.standard_normal((n, d))
+    Y = 1.3 * gen.standard_normal((n, d))
+    snaps = [(X + 2.0, Y), (np.tanh(X), Y ** 3), (np.tanh(X), Y ** 3), (X * X, -Y)]
+
+    def rows(ix, iy):
+        for A, B in snaps:
+            yield A[ix], B[iy]
+
+    reps = joint_bootstrap(rows, n, d, "sliced", R, RngStream(83), n_projections=k)
+    g2 = RngStream(83).generator()
+    ref = []
+    for _ in range(R):
+        ix, iy = g2.integers(0, n, n), g2.integers(0, n, n)
+        ref.append([w1_sliced(A[ix], B[iy], k, g2).value for A, B in snaps])
+    assert np.array_equal(reps, np.transpose(ref))
+    if d == 1:
+        assert np.array_equal(reps[1], reps[2])
+
+
+def test_joint_bootstrap_holds_one_row_at_a_time():
+    # 40 rows of 2e5 points: holding them all would take 128 MB; the joint
+    # bootstrap makes each row from the resampled members when it reaches it
+    import tracemalloc
+
+    n, k = 200_000, 40
+    gen = RngStream(84).generator()
+    X = np.sort(gen.standard_normal((n, 1)), axis=0)
+    Y = np.sort(gen.standard_normal((n, 1)), axis=0)
+
+    def rows(ix, iy):
+        px, py = X[ix], Y[iy]
+        for j in range(k):
+            yield (1.0 + j) * px + j, py
+
+    tracemalloc.start()
+    try:
+        reps = joint_bootstrap(rows, n, 1, "exact_1d", 2, RngStream(85))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reps.shape == (k, 2)
+    assert peak < 16 * 8 * n, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_joint_bootstrap_rejects_bad_args():
+    rows = _one_row(np.zeros((8, 1)), np.zeros((8, 1)))
+    with pytest.raises(ValueError, match="n_resamples"):
+        joint_bootstrap(rows, 8, 1, "exact_1d", 1)
+    with pytest.raises(ValueError, match="unknown estimator"):
+        joint_bootstrap(rows, 8, 1, "nonsense", 4)
 
 
 @pytest.mark.parametrize("tag", TAGS)
