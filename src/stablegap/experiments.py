@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ESTIMATORS, EXPERIMENTS, ExperimentConfig, euler_step
 from .errors import InvariantError
-from .ou import OuLaw, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
+from .ou import OuLaw, _sample_blocks, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
 from .rng import RngStream, worker_count
 from .sampling import StableModel, sample_subordinator_increment
 from .sde import DriftSpec, ergodic_sample, integrate_coupled_ensemble, integrate_ensemble
@@ -184,22 +184,39 @@ def _estimate_pair(X, Y, cfg: ExperimentConfig, stream: RngStream):
     return est, se
 
 
+def _stationary_source(noise: str, d: int, alpha: float, n: int, cfg: ExperimentConfig):
+    """(index, stream) of one of the two stationary laws: noise "stable"
+    (index alpha) or "gauss" (index 2), and the named stream of its n draws."""
+    return (alpha if noise == "stable" else 2.0,
+            derive_stream(cfg.seed, "stationary", noise, d, alpha, n))
+
+
 def _stationary_cloud(noise: str, d: int, alpha: float, n: int,
                       cfg: ExperimentConfig) -> EmpiricalMeasure:
-    """n draws from one of the two stationary laws: noise "stable" (index
-    alpha) or "gauss" (index 2), each from its own named stream.
+    """n draws from one of the two stationary laws (`_stationary_source`),
+    as one cloud; `_stationary_blocks` gives the same points in row blocks.
 
-    OU drift: exact draws.  Custom drift: long-run simulation (no closed
-    form exists there), burnt in for cfg.burn_in (cfg is resolved) at the
-    default Euler step.
+    OU drift: exact draws (`ou_stationary_sample`).  Custom drift: long-run
+    simulation (no closed form exists there), burnt in for cfg.burn_in (cfg
+    is resolved) at the default Euler step.
     """
-    stream = derive_stream(cfg.seed, "stationary", noise, d, alpha, n)
-    index = alpha if noise == "stable" else 2.0
+    index, stream = _stationary_source(noise, d, alpha, n, cfg)
     if cfg.drift == "ou":
         return ou_stationary_sample(OuLaw(d, index), n, stream)
     drift = cfg.drift_spec(d)
     return ergodic_sample(StableModel(d=d, alpha=index), drift, cfg.burn_in, n, 1.0,
                           round(1.0 / euler_step(drift)), stream)
+
+
+def _stationary_blocks(noise: str, d: int, alpha: float, n: int, cfg: ExperimentConfig):
+    """The points of `_stationary_cloud(noise, d, alpha, n, cfg)`, bit for
+    bit, as successive row blocks.  OU drift: the exact draws streamed in
+    one reused buffer of bounded size (`ou._sample_blocks`), so no
+    n x d array is held.  Custom drift: the simulated cloud as one block."""
+    if cfg.drift != "ou":
+        return iter((_stationary_cloud(noise, d, alpha, n, cfg).points,))
+    index, stream = _stationary_source(noise, d, alpha, n, cfg)
+    return _sample_blocks(OuLaw(d, index), n, stream)
 
 
 def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
@@ -306,18 +323,26 @@ def run_dim_sweep(cfg: ExperimentConfig) -> DimSweepResult:
     lower bounds and radial, exact for these isotropic pairs), with growth
     fits of the exact lower bound against d and against d log(1+d).
 
-    Each cloud is reduced as soon as it is drawn, to its norms (which give
-    the mean-norm gap and radial) and its first n_sliced rows (which give
-    sliced), and dropped before the next draw: a worker holds one full
-    cloud at a time.  The values equal those of the full-cloud estimators.
+    Each cloud is drawn in row blocks (`_stationary_blocks`), and each
+    block is reduced as it arrives, to its norms (which give the mean-norm
+    gap and radial) and, while the head is not full, to the cloud's first
+    n_sliced rows (which give sliced).  Under the OU drift a worker holds
+    one block at a time beside its norms and heads, never an n x d cloud.
+    The values equal those of the full-cloud estimators.
     """
     cfg = cfg.resolved()
     alpha, n_mean = cfg.alpha_grid[0], cfg.n_samples
     n_sliced = min(n_mean, 65_536)
 
     def reduced(noise: str, d: int):
-        pts = _stationary_cloud(noise, d, alpha, n_mean, cfg).points
-        return _norms(pts), pts[:n_sliced].copy()
+        norms, head = np.empty(n_mean), np.empty((n_sliced, d))
+        i = 0
+        for block in _stationary_blocks(noise, d, alpha, n_mean, cfg):
+            norms[i:i + len(block)] = _norms(block)
+            if i < n_sliced:
+                head[i:i + len(block)] = block[:n_sliced - i]
+            i += len(block)
+        return norms, head
 
     def one(d: int):
         lower = ou_w1_lower_exact(d, alpha)

@@ -26,7 +26,7 @@ _NORM_ROWS: per row it is sqrt(add.reduce(x * x)), the formula of
 np.linalg.norm(points, axis=1) and bit-equal to it, without that call's
 two full-size temporaries (a copy of the cloud and the squares).  The
 radial input rule and the mean-norm gap read it, and so does the dimension
-sweep, which reduces each cloud to its norms as soon as it is drawn;
+sweep, which reduces each block of a cloud to its norms as it is drawn;
 `_mean_norm_lower` is the gap from two norm vectors.
 
 scipy is imported by w1_assignment alone, at its first call, so importing
@@ -65,8 +65,7 @@ class EmpiricalMeasure:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError(f"points must be a nonempty (n, d) array, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+        _require_finite(pts)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -76,6 +75,13 @@ class EmpiricalMeasure:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+
+def _require_finite(points: np.ndarray) -> None:
+    """The check by which a cloud refuses non-finite points; a sampler that
+    streams a cloud in blocks runs it on each block."""
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
 
 
 @dataclass(frozen=True)

@@ -28,3 +28,17 @@ class ZeroUniform(np.random.Generator):
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return np.full(size, float(low))
+
+
+class NanInSecondGaussianDraw(np.random.Generator):
+    """A generator whose second standard-normal call returns one NaN: in a
+    cloud drawn in row blocks, a non-finite point inside the second block."""
+
+    calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = super().standard_normal(*args, **kwargs)
+        self.calls += 1
+        if self.calls == 2:
+            out[-1, -1] = np.nan
+        return out

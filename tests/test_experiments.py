@@ -39,6 +39,7 @@ from stablegap import (
 )
 import stablegap.experiments as experiments
 from stablegap.experiments import format_value
+from conftest import NanInSecondGaussianDraw
 
 
 def test_derive_stream_is_content_keyed():
@@ -240,6 +241,36 @@ def test_dim_sweep_holds_one_cloud_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * d_max * 8
+
+
+def test_dim_sweep_streams_each_cloud_in_blocks(monkeypatch):
+    # a row draws each cloud in row blocks and keeps its norms and 65536-row
+    # head, never the cloud: the traced peak stays below half of one d = 20
+    # cloud (80 MB); a row that holds one whole cloud at a time peaks at
+    # 199 MB here
+    monkeypatch.setenv("STABLEGAP_THREADS", "1")
+    n, d_max = 1_000_000, 20
+    cfg = ExperimentConfig(experiment="dim_sweep", seed=14, alpha_grid=(1.9,),
+                           d_grid=(2, 3, d_max), n_samples=n)
+    tracemalloc.start()
+    try:
+        run_dim_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d_max * 8 / 2
+
+
+def test_dim_sweep_refuses_a_non_finite_draw_in_one_block(monkeypatch):
+    # the second Gaussian block of the first cloud carries a NaN: the row is
+    # refused as EmpiricalMeasure refuses a non-finite cloud
+    monkeypatch.setenv("STABLEGAP_THREADS", "1")
+    monkeypatch.setattr(RngStream, "generator", lambda self: NanInSecondGaussianDraw(
+        np.random.Philox(key=[self.seed, self.stream_id])))
+    cfg = ExperimentConfig(experiment="dim_sweep", seed=15, alpha_grid=(1.9,),
+                           d_grid=(2, 3, 20), n_samples=200_000)
+    with pytest.raises(ValueError, match="finite"):
+        run_dim_sweep(cfg)
 
 
 def test_d1_alpha_sweep_sorts_each_cloud_once(monkeypatch):

@@ -20,8 +20,8 @@ from stablegap import (
     ou_w1_lower_exact,
     stable_mean_norm,
 )
-from stablegap.ou import _gap_pieces
-from conftest import z_score
+from stablegap.ou import _BLOCK_BYTES, _gap_pieces, _sample_blocks
+from conftest import NanInSecondGaussianDraw, z_score
 
 mp.mp.dps = 50
 
@@ -150,6 +150,45 @@ def test_stationary_stable_alpha2_equals_gaussian_draws():
         a = ou_stationary_sample(OuLaw(d, 2.0), 100, RngStream(54, d))
         b = 2 ** -0.5 * RngStream(54, d).generator().standard_normal((100, d))
         assert np.array_equal(a.points, b)
+
+
+@pytest.mark.parametrize("alpha", [1.7, 2.0])
+@pytest.mark.parametrize("d", [1, 3, 20])
+@pytest.mark.parametrize("n_of_rows", [lambda r: r // 2, lambda r: 2 * r, lambda r: 2 * r + 1],
+                         ids=["below_one_block", "k_blocks", "k_blocks_plus_1"])
+def test_sample_blocks_are_bit_equal_to_the_one_cloud_draw(alpha, d, n_of_rows):
+    # the block stream consumes the stream in the order of the one-cloud
+    # draw (Kanter's U's, E's, then the Gaussians), so its blocks, stacked,
+    # are the cloud bit for bit; every block reuses one buffer
+    rows = _BLOCK_BYTES // (8 * d)
+    n = n_of_rows(rows)
+    law = OuLaw(d, alpha)
+    got, buffers = [], set()
+    for block in _sample_blocks(law, n, RngStream(56, d)):
+        got.append(block.copy())
+        buffers.add(block.__array_interface__["data"][0])
+    assert len(got) == -(-n // rows) and len(buffers) == 1
+    assert np.array_equal(np.concatenate(got),
+                          ou_stationary_sample(law, n, RngStream(56, d)).points)
+
+
+def test_sample_blocks_at_a_finite_time_are_bit_equal_to_the_cloud():
+    law = OuLaw(3, 1.6, t=0.4, x0=[1.0, -2.0, 0.5])
+    n = _BLOCK_BYTES // 24 + 7
+    got = np.concatenate([b.copy() for b in _sample_blocks(law, n, RngStream(57))])
+    assert np.array_equal(got, ou_stationary_sample(law, n, RngStream(57)).points)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        next(_sample_blocks(law, 0, RngStream(57)))
+
+
+def test_sample_blocks_refuse_a_non_finite_draw_in_one_block():
+    # each block is checked as EmpiricalMeasure checks a whole cloud
+    d = 3
+    rows = _BLOCK_BYTES // (8 * d)
+    blocks = _sample_blocks(OuLaw(d, 1.8), 3 * rows, NanInSecondGaussianDraw(np.random.Philox(58)))
+    next(blocks)
+    with pytest.raises(ValueError, match="finite"):
+        next(blocks)
 
 
 def test_transient_char_limits():

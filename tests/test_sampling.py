@@ -123,6 +123,9 @@ def test_gaussian_increment_moments_and_zero_dt():
         sample_stable_increment(StableModel(d=2, alpha=2.0), 0.0, RngStream(110), size=5)
     single = sample_stable_increment(StableModel(d=2, alpha=2.0), 1.0, RngStream(111))
     assert single.shape == (2,)
+    for alpha in (1.5, 2.0):
+        empty = sample_stable_increment(StableModel(d=2, alpha=alpha), 1.0, RngStream(111), size=0)
+        assert empty.shape == (0, 2)
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
