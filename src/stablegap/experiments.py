@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ESTIMATORS, EXPERIMENTS, ExperimentConfig, euler_step
 from .errors import InvariantError
-from .ou import OuLaw, _sample_blocks, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
+from .ou import OuLaw, _radii_and_head, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
 from .rng import RngStream, worker_count
 from .sampling import StableModel, sample_subordinator_increment
 from .sde import DriftSpec, ergodic_sample, integrate_coupled_ensemble, integrate_ensemble
@@ -59,7 +59,8 @@ def derive_stream(seed: int, *parts) -> RngStream:
 
     Using content-derived ids (rather than positional counters) makes equal
     sampling tasks in different experiments draw identical noise, so e.g. a
-    dimension-sweep row at d=1 reproduces the alpha-sweep point exactly.
+    dimension-sweep row at d=1 reproduces the alpha-sweep point exactly when
+    n <= 65536 (past that its norms come from the law of the radius).
     """
     text = "|".join(repr(p) for p in parts)
     digest = hashlib.sha256(text.encode()).digest()
@@ -194,7 +195,7 @@ def _stationary_source(noise: str, d: int, alpha: float, n: int, cfg: Experiment
 def _stationary_cloud(noise: str, d: int, alpha: float, n: int,
                       cfg: ExperimentConfig) -> EmpiricalMeasure:
     """n draws from one of the two stationary laws (`_stationary_source`),
-    as one cloud; `_stationary_blocks` gives the same points in row blocks.
+    as one cloud.
 
     OU drift: exact draws (`ou_stationary_sample`).  Custom drift: long-run
     simulation (no closed form exists there), burnt in for cfg.burn_in (cfg
@@ -206,17 +207,6 @@ def _stationary_cloud(noise: str, d: int, alpha: float, n: int,
     drift = cfg.drift_spec(d)
     return ergodic_sample(StableModel(d=d, alpha=index), drift, cfg.burn_in, n, 1.0,
                           round(1.0 / euler_step(drift)), stream)
-
-
-def _stationary_blocks(noise: str, d: int, alpha: float, n: int, cfg: ExperimentConfig):
-    """The points of `_stationary_cloud(noise, d, alpha, n, cfg)`, bit for
-    bit, as successive row blocks.  OU drift: the exact draws streamed in
-    one reused buffer of bounded size (`ou._sample_blocks`), so no
-    n x d array is held.  Custom drift: the simulated cloud as one block."""
-    if cfg.drift != "ou":
-        return iter((_stationary_cloud(noise, d, alpha, n, cfg).points,))
-    index, stream = _stationary_source(noise, d, alpha, n, cfg)
-    return _sample_blocks(OuLaw(d, index), n, stream)
 
 
 def _stationary_pair(d: int, alpha: float, n: int, cfg: ExperimentConfig):
@@ -323,26 +313,24 @@ def run_dim_sweep(cfg: ExperimentConfig) -> DimSweepResult:
     lower bounds and radial, exact for these isotropic pairs), with growth
     fits of the exact lower bound against d and against d log(1+d).
 
-    Each cloud is drawn in row blocks (`_stationary_blocks`), and each
-    block is reduced as it arrives, to its norms (which give the mean-norm
-    gap and radial) and, while the head is not full, to the cloud's first
-    n_sliced rows (which give sliced).  Under the OU drift a worker holds
-    one block at a time beside its norms and heads, never an n x d cloud.
-    The values equal those of the full-cloud estimators.
+    Each cloud is reduced to its n norms (which give the mean-norm gap and
+    radial) and its first n_sliced rows (which give sliced).  Under the OU
+    drift the cloud is never drawn whole: `_radii_and_head` draws the head
+    rows, then each norm past them in O(1) from the law of the radius, so a
+    cloud costs O(n + n_sliced d).  The head and, up to n_sliced, the norms
+    are those of the full OU cloud bit for bit.  Under the custom drift the
+    simulated cloud is reduced, then dropped.
     """
     cfg = cfg.resolved()
     alpha, n_mean = cfg.alpha_grid[0], cfg.n_samples
     n_sliced = min(n_mean, 65_536)
 
     def reduced(noise: str, d: int):
-        norms, head = np.empty(n_mean), np.empty((n_sliced, d))
-        i = 0
-        for block in _stationary_blocks(noise, d, alpha, n_mean, cfg):
-            norms[i:i + len(block)] = _norms(block)
-            if i < n_sliced:
-                head[i:i + len(block)] = block[:n_sliced - i]
-            i += len(block)
-        return norms, head
+        if cfg.drift == "ou":
+            index, stream = _stationary_source(noise, d, alpha, n_mean, cfg)
+            return _radii_and_head(OuLaw(d, index), n_mean, n_sliced, stream)
+        points = _stationary_cloud(noise, d, alpha, n_mean, cfg).points
+        return _norms(points), points[:n_sliced].copy()
 
     def one(d: int):
         lower = ou_w1_lower_exact(d, alpha)
@@ -351,6 +339,12 @@ def run_dim_sweep(cfg: ExperimentConfig) -> DimSweepResult:
         mn = _mean_norm_lower(nx, ny)
         sl = w1_sliced(head_x, head_y, n_projections=cfg.n_projections,
                        rng=derive_stream(cfg.seed, "dim_sweep_dirs", d, alpha))
+        # radial reads the norms in sorted order only: with the heads
+        # dropped and the norms sorted in place (the mean-norm gap has
+        # summed them already), it copies nothing
+        del head_x, head_y
+        nx.sort()
+        ny.sort()
         return lower, mn.value, mn.stderr, sl.value, w1_exact_1d(nx, ny).value
 
     results = parallel_map(one, cfg.d_grid)

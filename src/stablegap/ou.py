@@ -15,9 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .sampling import StableModel, _increment_blocks, sample_stable_increment
+from . import sampling
+from .rng import as_generator
+from .sampling import StableModel, _scale_gaussian, sample_stable_increment
 from .specfun import log_gamma, mean_norm_prefactor, phi
-from .wasserstein import EmpiricalMeasure, _require_finite
+from .wasserstein import EmpiricalMeasure, _norms, _require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +85,13 @@ class OuLaw:
         return out
 
 
-# bytes per block of `_sample_blocks`: rows = max(1, _BLOCK_BYTES // (8 d)),
-# so the buffer does not grow with d; of 256 KB to 16 MB, 1 MB (65536 rows
-# at d = 2, 6553 at d = 20) was among the fastest on the dimension sweep
-# d = 2 ... 20 at n = 1e6 on a 2-vCPU x86 VM, and 16 MB was slower
+# bytes per Gaussian block of `_radii_and_head`: rows = max(1, _BLOCK_BYTES
+# // (8 d)).  The blocks are written straight into the head, so they save
+# neither memory nor time (one call for a 65536-row head ran as fast at
+# d = 2, 3, 20 on a 2-vCPU x86 VM).  They are kept so that each block is
+# scaled and checked for finiteness as it is drawn: a non-finite draw is
+# refused in its block, and the check's bool temporary is one block's,
+# not the head's
 _BLOCK_BYTES = 1 << 20
 
 
@@ -103,26 +108,54 @@ def ou_stationary_sample(law: OuLaw, n: int, rng) -> EmpiricalMeasure:
     """n exact iid draws from the law at its time t (no discretization or
     burn-in error; t = inf gives the stationary law): n subordinator draws
     (alpha < 2), then the (n, d) standard Gaussians, each transformed in
-    place, so the draw is the only n x d array held.  `_sample_blocks`
-    gives the same draws in row blocks."""
+    place, so the draw is the only n x d array held.  `_radii_and_head`
+    gives the same first rows and the norms of the others."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     model = StableModel(d=law.d, alpha=law.alpha)
     return EmpiricalMeasure(points=_placed(law, sample_stable_increment(model, 1.0, rng, size=n)))
 
 
-def _sample_blocks(law: OuLaw, n: int, rng):
-    """The draws of `ou_stationary_sample(law, n, rng)`, bit for bit, as
-    successive blocks of _BLOCK_BYTES in one reused buffer: each block is
-    overwritten by the next, so no n x d array is held.  Each block is
-    refused, as the whole cloud is, if a point is not finite."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def _radii_and_head(law: OuLaw, n: int, n_head: int, rng):
+    """(norms, head): the norms of n iid draws of a law centred at the
+    origin, and the first n_head of those draws as an (n_head, d) array.
+
+    The law is isotropic: a draw is s(t) sqrt(S) G, with S the subordinator
+    (1 at alpha = 2) and G a standard Gaussian in R^d, so its norm is
+    s(t) sqrt(S) |G| with |G|^2 ~ chi^2_d = 2 Gamma(d/2).  The stream gives
+    the n subordinator draws (Kanter's U's, then E's), then the head's
+    Gaussians, in row blocks of _BLOCK_BYTES written straight into the
+    head, then one Gamma(d/2) draw per norm past the head, each made in
+    place in the norm vector.  The head is thus the first n_head rows of
+    `ou_stationary_sample(law, n, rng)` bit for bit, and a norm past it
+    costs O(1) in any d.  Each head block and the tail norms are refused,
+    as a whole cloud is, if a value is not finite.
+    """
+    if not 0 <= n_head <= n or n < 1:
+        raise ValueError(f"need 0 <= n_head <= n and n >= 1, got n_head = {n_head}, n = {n}")
+    if math.isfinite(law.t) and np.count_nonzero(law.x0):
+        raise DomainError("the radial draw needs a law centred at the origin")
+    gen = as_generator(rng)
     model = StableModel(d=law.d, alpha=law.alpha)
+    # through the module, so a tracer's wrapper of the sampler sees the draw
+    s = None if model.is_brownian else \
+        sampling.sample_subordinator_increment(law.alpha, 1.0, gen, size=n)
+    head = np.empty((n_head, law.d))
     rows = max(1, _BLOCK_BYTES // (8 * law.d))
-    for block in _increment_blocks(model, 1.0, rng, n, rows):
-        _require_finite(_placed(law, block))
-        yield block
+    for i in range(0, n_head, rows):
+        block = gen.standard_normal(out=head[i:i + rows])
+        _require_finite(_placed(law, _scale_gaussian(
+            model, 1.0, None if s is None else s[i:i + len(block)], block)))
+    norms = np.empty(n)
+    norms[:n_head] = _norms(head)
+    tail = gen.standard_gamma(0.5 * law.d, out=norms[n_head:])
+    tail *= 2.0
+    np.sqrt(tail, out=tail)
+    if s is not None:
+        tail *= np.sqrt(s[n_head:], out=s[n_head:])
+    tail *= law.scale
+    _require_finite(tail)
+    return norms, head
 
 
 def ou_w1_lower_exact(d: int, alpha: float) -> float:

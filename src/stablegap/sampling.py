@@ -13,9 +13,9 @@ exactly by the subordinator draw.
 Each increment is made in two phases: the generator calls (`draw_noise`),
 then an elementwise, in-place transform of their output
 (`noise_increments`).  The samplers below run both at once; the Euler
-stepper runs the draws of whole blocks of steps ahead of the transforms.
-`_increment_blocks` runs them in row blocks of one draw, so a caller that
-reduces the draw as it arrives never holds all n rows.
+stepper runs the draws of whole blocks of steps ahead of the transforms,
+and the dimension sweep's OU draw (`ou._radii_and_head`) transforms its
+Gaussian rows block by block as they are drawn.
 """
 from __future__ import annotations
 
@@ -178,41 +178,22 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     return float(out[0]) if size is None else out
 
 
-def _increment_blocks(model: StableModel, dt, rng, n: int, rows: int):
-    """The n increments of `sample_stable_increment(model, dt, rng, size=n)`
-    as successive blocks of at most `rows` rows, each yielded in one reused
-    (rows, d) buffer that the next block overwrites.
-
-    The stream is consumed in the order of the one-block draw: Kanter's n
-    U's, then its n E's (the n subordinator draws, made up front), then the
-    (n, d) standard Gaussians, drawn block by block.  Under an identity
-    sigma the transform is elementwise, so every block is bit-equal to its
-    rows of the one-block draw; a sigma product over a block of another
-    size may sum in another order.  n = 0 yields one empty block.
-    """
-    gen = as_generator(rng)
-    s = None if model.is_brownian else \
-        sample_subordinator_increment(model.alpha, dt, gen, size=n)
-    buf = np.empty((min(n, rows), model.d))
-    for i in range(0, max(n, 1), rows):
-        g = gen.standard_normal(out=buf[:min(rows, n - i)])
-        yield _scale_gaussian(model, dt, None if s is None else s[i:i + rows], g)
-
-
 def sample_stable_increment(model: StableModel, dt, rng, size=None):
     """Increments of the model's driving noise over a step dt.
 
     For alpha < 2: sigma (sqrt(S) G) with S a subordinator draw and G a
     standard Gaussian vector, so the pre-sigma increment has characteristic
     function exp(-dt |xi|^alpha / 2).  For alpha = 2: exact Brownian
-    increments sigma sqrt(dt) G.  The draw is the one block of
-    `_increment_blocks`: n subordinator draws (Kanter's U's, then E's), then
-    the (n, d) standard Gaussians.
+    increments sigma sqrt(dt) G.  The stream gives n subordinator draws
+    (Kanter's U's, then E's), then the (n, d) standard Gaussians.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = 1 if size is None else int(size)
-    inc, = _increment_blocks(model, dt, rng, n, rows=max(n, 1))
+    gen = as_generator(rng)
+    s = None if model.is_brownian else \
+        sample_subordinator_increment(model.alpha, dt, gen, size=n)
+    inc = _scale_gaussian(model, dt, s, gen.standard_normal((n, model.d)))
     return inc[0] if size is None else inc
 
 

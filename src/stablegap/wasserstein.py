@@ -25,9 +25,10 @@ The norms of a cloud's points are taken by `_norms`, in row chunks of
 _NORM_ROWS: per row it is sqrt(add.reduce(x * x)), the formula of
 np.linalg.norm(points, axis=1) and bit-equal to it, without that call's
 two full-size temporaries (a copy of the cloud and the squares).  The
-radial input rule and the mean-norm gap read it, and so does the dimension
-sweep, which reduces each block of a cloud to its norms as it is drawn;
-`_mean_norm_lower` is the gap from two norm vectors.
+radial input rule and the mean-norm gap read it, and so do the dimension
+sweep, for the sliced head of an OU cloud and for a simulated cloud, and
+the joint bootstrap under radial; `_mean_norm_lower` is the gap from two
+norm vectors.
 
 scipy is imported by w1_assignment alone, at its first call, so importing
 this module (and stablegap) loads numpy and nothing heavier; only the
@@ -217,7 +218,9 @@ def _norms(points: np.ndarray) -> np.ndarray:
     summed along each row by add.reduce, as np.linalg.norm(points, axis=1)
     sums them, so the two are bit-equal on row-major arrays and their
     slices (every cloud sampled here); a column-major array may sum in
-    another order."""
+    another order.  The dimension sweep takes here the norms of an OU
+    cloud's sliced head only, and draws the others from the law of the
+    radius (`ou._radii_and_head`)."""
     n = points.shape[0]
     out = np.empty(n)
     buf = np.empty((min(n, _NORM_ROWS), points.shape[1]))

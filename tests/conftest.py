@@ -42,3 +42,24 @@ class NanInSecondGaussianDraw(np.random.Generator):
         if self.calls == 2:
             out[-1, -1] = np.nan
         return out
+
+
+class CountingNormals(np.random.Generator):
+    """A generator that counts the standard normals it draws."""
+
+    normals = 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = super().standard_normal(*args, **kwargs)
+        self.normals += np.size(out)
+        return out
+
+
+class NanInGammaDraw(np.random.Generator):
+    """A generator whose gamma draws end in one NaN: a non-finite norm in
+    the tail of a cloud whose norms are drawn from the law of the radius."""
+
+    def standard_gamma(self, *args, **kwargs):
+        out = super().standard_gamma(*args, **kwargs)
+        out[-1] = np.nan
+        return out

@@ -199,7 +199,7 @@ def test_removed_mean_norm_estimator_is_argument_error(capsys):
 
 @pytest.mark.parametrize("argv, sampler, match", [
     (["dim-sweep", "--alpha", "1.9", "--dim", "2,2,2", "--samples", "1000"],
-     "_sample_blocks", "d_grid repeats a value: (2, 2, 2)"),
+     "_radii_and_head", "d_grid repeats a value: (2, 2, 2)"),
     (["alpha-sweep", "--alpha", "1.9,1.9,1.9"],
      "ou_stationary_sample", "alpha_grid repeats a value: (1.9, 1.9, 1.9)"),
     (["transient", "--alpha", "1.9", "--t-max", "1e6", "--drift", "custom",

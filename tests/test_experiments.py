@@ -39,7 +39,9 @@ from stablegap import (
 )
 import stablegap.experiments as experiments
 from stablegap.experiments import format_value
-from conftest import NanInSecondGaussianDraw
+from stablegap.ou import _radii_and_head
+from stablegap.wasserstein import _norms
+from conftest import CountingNormals, NanInGammaDraw, NanInSecondGaussianDraw
 
 
 def test_derive_stream_is_content_keyed():
@@ -204,12 +206,16 @@ def test_dim_sweep_rows_and_note():
     assert res.fit_vs_dlogd.slope < res.fit_vs_d.slope
 
 
-@pytest.mark.parametrize("drift, n", [("ou", 70_000), ("custom", 256)])
+@pytest.mark.parametrize("drift, n", [("ou", 70_000), ("custom", 256), ("ou", 4096)])
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_dim_sweep_rows_equal_the_full_cloud_estimators(drift, n, threads, monkeypatch):
-    # each row reduces its clouds to norms and sliced heads as they are
-    # drawn; the values must be those of the estimators on the full clouds.
-    # Under ou, n exceeds the 65536-row sliced head.
+    # each row reduces its clouds to norms and 65536-row sliced heads; the
+    # heads are the full clouds' first rows, so sliced is bit-equal to its
+    # estimator on them.  Up to 65536 rows every column is that of the
+    # estimators on the full clouds.  Past them (ou, 70000) each OU norm is
+    # drawn from the law of the radius: the head norms are still the
+    # cloud's, bit for bit, and mean_norm and radial are checked against
+    # the exact bound.
     monkeypatch.setenv("STABLEGAP_THREADS", threads)
     extra = {"burn_in": 0.2} if drift == "custom" else {}
     cfg = ExperimentConfig(experiment="dim_sweep", seed=13, alpha_grid=(1.8,),
@@ -218,12 +224,42 @@ def test_dim_sweep_rows_equal_the_full_cloud_estimators(drift, n, threads, monke
     head = min(n, 65_536)
     for i, d in enumerate(cfg.d_grid):
         X, Y = experiments._stationary_pair(d, 1.8, n, cfg.resolved())
-        mn = w1_mean_norm_lower(X, Y)
-        assert (res.mean_norm[i], res.mean_norm_se[i]) == (mn.value, mn.stderr)
-        assert res.radial[i] == w1_radial(X, Y).value
         assert res.sliced[i] == w1_sliced(
             X.points[:head], Y.points[:head], n_projections=cfg.n_projections,
             rng=derive_stream(13, "dim_sweep_dirs", d, 1.8)).value
+        if n <= head:
+            mn = w1_mean_norm_lower(X, Y)
+            assert (res.mean_norm[i], res.mean_norm_se[i]) == (mn.value, mn.stderr)
+            assert res.radial[i] == w1_radial(X, Y).value
+            continue
+        for noise, cloud in (("stable", X), ("gauss", Y)):
+            index, stream = experiments._stationary_source(noise, d, 1.8, n, cfg.resolved())
+            norms, _ = _radii_and_head(OuLaw(d, index), n, head, stream)
+            assert np.array_equal(norms[:head], _norms(cloud.points[:head]))
+        assert abs(res.mean_norm[i] - res.lower_exact[i]) <= 4.0 * res.mean_norm_se[i]
+        assert res.mean_norm[i] <= res.radial[i]
+
+
+def test_dim_sweep_draws_gaussians_for_the_sliced_head_only(monkeypatch):
+    # each OU cloud draws min(n, 65536) d standard normals, whatever n: the
+    # cost of a cloud is O(n + 65536 d), not O(n d)
+    monkeypatch.setenv("STABLEGAP_THREADS", "1")
+    drawn = {}
+
+    def counting(self):
+        gen = CountingNormals(np.random.Philox(key=[self.seed, self.stream_id]))
+        drawn.setdefault(self.stream_id, []).append(gen)
+        return gen
+
+    monkeypatch.setattr(RngStream, "generator", counting)
+    n, dims = 100_000, (2, 3, 20)
+    cfg = ExperimentConfig(experiment="dim_sweep", seed=16, alpha_grid=(1.9,),
+                           d_grid=dims, n_samples=n)
+    run_dim_sweep(cfg)
+    for d in dims:
+        for noise in ("stable", "gauss"):
+            _, stream = experiments._stationary_source(noise, d, 1.9, n, cfg.resolved())
+            assert [g.normals for g in drawn[stream.stream_id]] == [65_536 * d]
 
 
 def test_dim_sweep_holds_one_cloud_at_a_time(monkeypatch):
@@ -244,10 +280,10 @@ def test_dim_sweep_holds_one_cloud_at_a_time(monkeypatch):
 
 
 def test_dim_sweep_streams_each_cloud_in_blocks(monkeypatch):
-    # a row draws each cloud in row blocks and keeps its norms and 65536-row
-    # head, never the cloud: the traced peak stays below half of one d = 20
-    # cloud (80 MB); a row that holds one whole cloud at a time peaks at
-    # 199 MB here
+    # a row draws each OU cloud's 65536-row head in row blocks and its other
+    # rows as norms only, never the cloud: the traced peak stays below half
+    # of one d = 20 cloud (80 MB); a row that holds one whole cloud at a time
+    # peaks at 199 MB here
     monkeypatch.setenv("STABLEGAP_THREADS", "1")
     n, d_max = 1_000_000, 20
     cfg = ExperimentConfig(experiment="dim_sweep", seed=14, alpha_grid=(1.9,),
@@ -266,6 +302,18 @@ def test_dim_sweep_refuses_a_non_finite_draw_in_one_block(monkeypatch):
     # refused as EmpiricalMeasure refuses a non-finite cloud
     monkeypatch.setenv("STABLEGAP_THREADS", "1")
     monkeypatch.setattr(RngStream, "generator", lambda self: NanInSecondGaussianDraw(
+        np.random.Philox(key=[self.seed, self.stream_id])))
+    cfg = ExperimentConfig(experiment="dim_sweep", seed=15, alpha_grid=(1.9,),
+                           d_grid=(2, 3, 20), n_samples=200_000)
+    with pytest.raises(ValueError, match="finite"):
+        run_dim_sweep(cfg)
+
+
+def test_dim_sweep_refuses_a_non_finite_gamma_draw(monkeypatch):
+    # a norm past the sliced head is drawn from a gamma; a NaN there is
+    # refused as one in a head block is
+    monkeypatch.setenv("STABLEGAP_THREADS", "1")
+    monkeypatch.setattr(RngStream, "generator", lambda self: NanInGammaDraw(
         np.random.Philox(key=[self.seed, self.stream_id])))
     cfg = ExperimentConfig(experiment="dim_sweep", seed=15, alpha_grid=(1.9,),
                            d_grid=(2, 3, 20), n_samples=200_000)

@@ -20,7 +20,9 @@ from stablegap import (
     ou_w1_lower_exact,
     stable_mean_norm,
 )
-from stablegap.ou import _BLOCK_BYTES, _gap_pieces, _sample_blocks
+from stablegap.ou import _BLOCK_BYTES, _gap_pieces, _radii_and_head
+from stablegap.sampling import sample_subordinator_increment
+from stablegap.wasserstein import _norms
 from conftest import NanInSecondGaussianDraw, z_score
 
 mp.mp.dps = 50
@@ -157,38 +159,65 @@ def test_stationary_stable_alpha2_equals_gaussian_draws():
 @pytest.mark.parametrize("n_of_rows", [lambda r: r // 2, lambda r: 2 * r, lambda r: 2 * r + 1],
                          ids=["below_one_block", "k_blocks", "k_blocks_plus_1"])
 def test_sample_blocks_are_bit_equal_to_the_one_cloud_draw(alpha, d, n_of_rows):
-    # the block stream consumes the stream in the order of the one-cloud
-    # draw (Kanter's U's, E's, then the Gaussians), so its blocks, stacked,
-    # are the cloud bit for bit; every block reuses one buffer
+    # the radial draw's head is drawn in row blocks, in the stream order of
+    # the one-cloud draw (Kanter's U's, E's, then the Gaussians), straight
+    # into the head, so the head is the cloud's first rows bit for bit, and
+    # so are its norms; the norms past the head come after, from gammas
     rows = _BLOCK_BYTES // (8 * d)
-    n = n_of_rows(rows)
+    n_head = n_of_rows(rows)
+    n = n_head + 5
     law = OuLaw(d, alpha)
-    got, buffers = [], set()
-    for block in _sample_blocks(law, n, RngStream(56, d)):
-        got.append(block.copy())
-        buffers.add(block.__array_interface__["data"][0])
-    assert len(got) == -(-n // rows) and len(buffers) == 1
-    assert np.array_equal(np.concatenate(got),
-                          ou_stationary_sample(law, n, RngStream(56, d)).points)
+    norms, head = _radii_and_head(law, n, n_head, RngStream(56, d))
+    cloud = ou_stationary_sample(law, n, RngStream(56, d)).points
+    assert head.shape == (n_head, d) and norms.shape == (n,)
+    assert np.array_equal(head, cloud[:n_head])
+    assert np.array_equal(norms[:n_head], _norms(head))
+    assert np.isfinite(norms).all() and (norms >= 0).all()
 
 
 def test_sample_blocks_at_a_finite_time_are_bit_equal_to_the_cloud():
-    law = OuLaw(3, 1.6, t=0.4, x0=[1.0, -2.0, 0.5])
+    # a law at a finite time started at the origin is centred there too;
+    # one started elsewhere is not isotropic and is refused
+    law = OuLaw(3, 1.6, t=0.4)
     n = _BLOCK_BYTES // 24 + 7
-    got = np.concatenate([b.copy() for b in _sample_blocks(law, n, RngStream(57))])
-    assert np.array_equal(got, ou_stationary_sample(law, n, RngStream(57)).points)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        next(_sample_blocks(law, 0, RngStream(57)))
+    norms, head = _radii_and_head(law, n + 3, n, RngStream(57))
+    assert np.array_equal(head, ou_stationary_sample(law, n + 3, RngStream(57)).points[:n])
+    assert np.array_equal(norms[:n], _norms(head))
+    with pytest.raises(DomainError, match="centred at the origin"):
+        _radii_and_head(OuLaw(3, 1.6, t=0.4, x0=[1.0, -2.0, 0.5]), n, n, RngStream(57))
+    # at t = inf the start point is forgotten, so the law is centred
+    _radii_and_head(OuLaw(3, 1.6, x0=[1.0, -2.0, 0.5]), 10, 10, RngStream(57))
+    with pytest.raises(ValueError, match="n_head <= n"):
+        _radii_and_head(law, 0, 0, RngStream(57))
+    with pytest.raises(ValueError, match="n_head <= n"):
+        _radii_and_head(law, 10, 11, RngStream(57))
 
 
 def test_sample_blocks_refuse_a_non_finite_draw_in_one_block():
-    # each block is checked as EmpiricalMeasure checks a whole cloud
+    # each head block is checked as EmpiricalMeasure checks a whole cloud
     d = 3
     rows = _BLOCK_BYTES // (8 * d)
-    blocks = _sample_blocks(OuLaw(d, 1.8), 3 * rows, NanInSecondGaussianDraw(np.random.Philox(58)))
-    next(blocks)
+    gen = NanInSecondGaussianDraw(np.random.Philox(58))
     with pytest.raises(ValueError, match="finite"):
-        next(blocks)
+        _radii_and_head(OuLaw(d, 1.8), 3 * rows, 3 * rows, gen)
+
+
+@pytest.mark.parametrize("alpha", [1.8, 2.0])
+@pytest.mark.parametrize("d", [1, 2, 5, 20])
+def test_radial_draw_tail_is_chi_squared(d, alpha):
+    # past the head a norm is s sqrt(S) |G|, with |G|^2 ~ chi^2_d; the
+    # subordinator draws S are the first of the stream, so they can be
+    # drawn again and divided out.  The KS test has the power to tell d
+    # from d + 1 at this n.
+    from scipy.stats import chi2, kstest
+
+    n, n_head = 20_000, 1_000
+    law = OuLaw(d, alpha)
+    norms, _ = _radii_and_head(law, n, n_head, RngStream(60, d))
+    s = sample_subordinator_increment(alpha, 1.0, RngStream(60, d), size=n)
+    q = (norms[n_head:] / (law.scale * np.sqrt(s[n_head:]))) ** 2
+    assert kstest(q, chi2(d).cdf).pvalue > 1e-3
+    assert kstest(q, chi2(d + 1).cdf).pvalue < 1e-6
 
 
 def test_transient_char_limits():
