@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ESTIMATORS, EXPERIMENTS, ExperimentConfig, euler_step
 from .errors import InvariantError
-from .ou import OuLaw, _radii_and_head, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
+from .ou import OuLaw, _radial_draw, gammalower_check, ou_stationary_sample, ou_w1_lower_exact
 from .rng import RngStream, worker_count
 from .sampling import StableModel, sample_subordinator_increment
 from .sde import DriftSpec, ergodic_sample, integrate_coupled_ensemble, integrate_ensemble
@@ -315,34 +315,45 @@ def run_dim_sweep(cfg: ExperimentConfig) -> DimSweepResult:
 
     Each cloud is reduced to its n norms (which give the mean-norm gap and
     radial) and its first n_sliced rows (which give sliced).  Under the OU
-    drift the cloud is never drawn whole: `_radii_and_head` draws the head
+    drift the cloud is never drawn whole: `_radial_draw` draws the head
     rows, then each norm past them in O(1) from the law of the radius, so a
     cloud costs O(n + n_sliced d).  The head and, up to n_sliced, the norms
-    are those of the full OU cloud bit for bit.  Under the custom drift the
-    simulated cloud is reduced, then dropped.
+    are those of the full OU cloud bit for bit.  A row draws the stable
+    cloud's head and norms, then the Gaussian head, takes sliced, drops
+    both heads, and only then draws the Gaussian norms past the head: each
+    cloud keeps its own stream order, and the row never holds a head beside
+    two norm vectors.  Under the custom drift each simulated cloud is
+    reduced, then dropped, in the same order.
     """
     cfg = cfg.resolved()
     alpha, n_mean = cfg.alpha_grid[0], cfg.n_samples
     n_sliced = min(n_mean, 65_536)
 
-    def reduced(noise: str, d: int):
+    def drawn(noise: str, d: int):
+        """The cloud's head, then its norms: the two steps of a generator."""
         if cfg.drift == "ou":
             index, stream = _stationary_source(noise, d, alpha, n_mean, cfg)
-            return _radii_and_head(OuLaw(d, index), n_mean, n_sliced, stream)
+            yield from _radial_draw(OuLaw(d, index), n_mean, n_sliced, stream)
+            return
         points = _stationary_cloud(noise, d, alpha, n_mean, cfg).points
-        return _norms(points), points[:n_sliced].copy()
+        head, norms = points[:n_sliced].copy(), _norms(points)
+        del points
+        yield head
+        del head
+        yield norms
 
     def one(d: int):
         lower = ou_w1_lower_exact(d, alpha)
-        nx, head_x = reduced("stable", d)
-        ny, head_y = reduced("gauss", d)
-        mn = _mean_norm_lower(nx, ny)
+        x, y = drawn("stable", d), drawn("gauss", d)
+        head_x, nx = next(x), next(x)
+        head_y = next(y)
         sl = w1_sliced(head_x, head_y, n_projections=cfg.n_projections,
                        rng=derive_stream(cfg.seed, "dim_sweep_dirs", d, alpha))
-        # radial reads the norms in sorted order only: with the heads
-        # dropped and the norms sorted in place (the mean-norm gap has
-        # summed them already), it copies nothing
         del head_x, head_y
+        ny = next(y)
+        mn = _mean_norm_lower(nx, ny)
+        # radial reads the norms in sorted order only: sorted in place (the
+        # mean-norm gap has summed them already), it copies nothing
         nx.sort()
         ny.sort()
         return lower, mn.value, mn.stderr, sl.value, w1_exact_1d(nx, ny).value

@@ -85,13 +85,14 @@ class OuLaw:
         return out
 
 
-# bytes per Gaussian block of `_radii_and_head`: rows = max(1, _BLOCK_BYTES
-# // (8 d)).  The blocks are written straight into the head, so they save
-# neither memory nor time (one call for a 65536-row head ran as fast at
-# d = 2, 3, 20 on a 2-vCPU x86 VM).  They are kept so that each block is
-# scaled and checked for finiteness as it is drawn: a non-finite draw is
-# refused in its block, and the check's bool temporary is one block's,
-# not the head's
+# bytes per block of `_radial_draw`: Gaussian rows = max(1, _BLOCK_BYTES
+# // (8 d)), and _BLOCK_BYTES // 8 gamma values.  The Gaussian blocks are
+# written straight into the head, so they save neither memory nor time (one
+# call for a 65536-row head ran as fast at d = 2, 3, 20 on a 2-vCPU x86 VM).
+# They are kept so that each block is scaled and checked for finiteness as
+# it is drawn: a non-finite draw is refused in its block, and the check's
+# bool temporary is one block's, not the head's.  The gamma blocks bound
+# the memory beside the norm vector
 _BLOCK_BYTES = 1 << 20
 
 
@@ -108,7 +109,7 @@ def ou_stationary_sample(law: OuLaw, n: int, rng) -> EmpiricalMeasure:
     """n exact iid draws from the law at its time t (no discretization or
     burn-in error; t = inf gives the stationary law): n subordinator draws
     (alpha < 2), then the (n, d) standard Gaussians, each transformed in
-    place, so the draw is the only n x d array held.  `_radii_and_head`
+    place, so the draw is the only n x d array held.  `_radial_draw`
     gives the same first rows and the norms of the others."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -116,20 +117,24 @@ def ou_stationary_sample(law: OuLaw, n: int, rng) -> EmpiricalMeasure:
     return EmpiricalMeasure(points=_placed(law, sample_stable_increment(model, 1.0, rng, size=n)))
 
 
-def _radii_and_head(law: OuLaw, n: int, n_head: int, rng):
-    """(norms, head): the norms of n iid draws of a law centred at the
-    origin, and the first n_head of those draws as an (n_head, d) array.
+def _radial_draw(law: OuLaw, n: int, n_head: int, rng):
+    """n iid draws of a law centred at the origin, reduced to their first
+    n_head draws and the norms of all n, as the two steps of a generator:
+    it yields the (n_head, d) head, then the n norms.
 
     The law is isotropic: a draw is s(t) sqrt(S) G, with S the subordinator
     (1 at alpha = 2) and G a standard Gaussian in R^d, so its norm is
     s(t) sqrt(S) |G| with |G|^2 ~ chi^2_d = 2 Gamma(d/2).  The stream gives
     the n subordinator draws (Kanter's U's, then E's), then the head's
     Gaussians, in row blocks of _BLOCK_BYTES written straight into the
-    head, then one Gamma(d/2) draw per norm past the head, each made in
-    place in the norm vector.  The head is thus the first n_head rows of
-    `ou_stationary_sample(law, n, rng)` bit for bit, and a norm past it
-    costs O(1) in any d.  Each head block and the tail norms are refused,
-    as a whole cloud is, if a value is not finite.
+    head, then one Gamma(d/2) draw per norm past the head, in blocks that
+    multiply in place into the norm vector.  The head is thus the first
+    n_head rows of `ou_stationary_sample(law, n, rng)` bit for bit, and a
+    norm past it costs O(1) in any d.  The norm vector is the subordinator
+    draws' own array (a new one at alpha = 2), made only at the second
+    step: a caller that drops the head first never holds the two together.
+    Each head block and the tail norms are refused, as a whole cloud is, if
+    a value is not finite.  The arguments are checked at the first step.
     """
     if not 0 <= n_head <= n or n < 1:
         raise ValueError(f"need 0 <= n_head <= n and n >= 1, got n_head = {n_head}, n = {n}")
@@ -143,19 +148,26 @@ def _radii_and_head(law: OuLaw, n: int, n_head: int, rng):
     head = np.empty((n_head, law.d))
     rows = max(1, _BLOCK_BYTES // (8 * law.d))
     for i in range(0, n_head, rows):
-        block = gen.standard_normal(out=head[i:i + rows])
+        j = min(i + rows, n_head)
         _require_finite(_placed(law, _scale_gaussian(
-            model, 1.0, None if s is None else s[i:i + len(block)], block)))
-    norms = np.empty(n)
-    norms[:n_head] = _norms(head)
-    tail = gen.standard_gamma(0.5 * law.d, out=norms[n_head:])
-    tail *= 2.0
-    np.sqrt(tail, out=tail)
+            model, 1.0, None if s is None else s[i:j], gen.standard_normal(out=head[i:j]))))
+    yield head
+    head_norms = _norms(head)
+    del head
+    norms = np.ones(n) if s is None else s
+    norms[:n_head] = head_norms
+    del head_norms  # the suspended generator would hold it until the row ends
+    tail = norms[n_head:]
     if s is not None:
-        tail *= np.sqrt(s[n_head:], out=s[n_head:])
+        np.sqrt(tail, out=tail)
+    for i in range(0, tail.size, _BLOCK_BYTES // 8):
+        chunk = tail[i:i + _BLOCK_BYTES // 8]
+        g = gen.standard_gamma(0.5 * law.d, size=chunk.size)
+        g *= 2.0
+        chunk *= np.sqrt(g, out=g)
     tail *= law.scale
     _require_finite(tail)
-    return norms, head
+    yield norms
 
 
 def ou_w1_lower_exact(d: int, alpha: float) -> float:

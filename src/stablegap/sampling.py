@@ -12,10 +12,11 @@ exactly by the subordinator draw.
 
 Each increment is made in two phases: the generator calls (`draw_noise`),
 then an elementwise, in-place transform of their output
-(`noise_increments`).  The samplers below run both at once; the Euler
-stepper runs the draws of whole blocks of steps ahead of the transforms,
-and the dimension sweep's OU draw (`ou._radii_and_head`) transforms its
-Gaussian rows block by block as they are drawn.
+(`noise_increments`).  The samplers below run both at once (the
+subordinator's chunk by chunk); the Euler stepper runs the draws of whole
+blocks of steps ahead of the transforms, and the dimension sweep's OU draw
+(`ou._radial_draw`) transforms its Gaussian rows block by block as they
+are drawn.
 """
 from __future__ import annotations
 
@@ -63,19 +64,26 @@ class StableModel:
         return self.alpha == 2.0
 
 
-def _kanter_draws(n: int, gen: np.random.Generator):
-    """The generator calls of n Kanter draws, in stream order: U ~
-    Uniform(0, pi), then E ~ Exp(1).  U = 0 (which the half-open uniform
-    can return) makes a(U) 0/0 in `_subordinator`; it raises
+# values per chunk of `sample_subordinator_increment`'s Kanter evaluation:
+# 512 KB per array.  The time is bound by np.sin at any chunk size; the
+# chunks bound the memory beside the result
+_KANTER_CHUNK = 1 << 16
+
+
+def _kanter_uniforms(n: int, gen: np.random.Generator) -> np.ndarray:
+    """The first generator call of n Kanter draws: U ~ Uniform(0, pi); the
+    n E ~ Exp(1) follow it in the stream.  U = 0 (which the half-open
+    uniform can return) makes a(U) 0/0 in `_subordinator`; it raises
     InvariantError here instead of passing NaN on."""
     u = gen.uniform(0.0, np.pi, size=n)
     if not u.all():
         raise InvariantError("Kanter subordinator draw hit U = 0 (a(U) is 0/0)")
-    return u, gen.standard_exponential(size=n)
+    return u
 
 
 def _subordinator(alpha: float, dt, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """S_dt = c T from Kanter draws (u, e), overwriting both.
+    """S_dt = c T from Kanter draws (u, e), written into u (e is
+    overwritten too).
 
     T is the standard one-sided beta-stable law, beta = alpha/2 in (0,1),
     normalized so that E exp(-lam T) = exp(-lam^beta).  Kanter's
@@ -87,8 +95,9 @@ def _subordinator(alpha: float, dt, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     Evaluated in log-space: near beta -> 1 the exponent (1-beta)/beta makes
     the direct form overflow while the log form stays tame.  The scale is
     c = 2 (dt/2)^(2/alpha) (see `sample_subordinator_increment`).  Every
-    operation runs in place, in the order of the textbook expression, so
-    the result is bit-equal to evaluating it with temporaries.
+    operation runs in the order of the textbook expression, so the result
+    is bit-equal to evaluating it with temporaries; two of u's size are
+    made, the sine terms of beta u and (1-beta) u.
     """
     beta = 0.5 * alpha
     b1 = 1.0 - beta
@@ -99,11 +108,11 @@ def _subordinator(alpha: float, dt, u: np.ndarray, e: np.ndarray) -> np.ndarray:
     np.log(np.sin(t, out=t), out=t)
     t *= b1
     log_a += t
-    log_a -= np.log(np.sin(u, out=u), out=u)
-    log_a /= b1
-    log_a -= np.log(e, out=e)
-    log_a *= b1 / beta
-    s = np.exp(log_a, out=log_a)
+    s = np.subtract(log_a, np.log(np.sin(u, out=u), out=u), out=u)
+    s /= b1
+    s -= np.log(e, out=e)
+    s *= b1 / beta
+    np.exp(s, out=s)
     s *= 2.0 * (dt / 2.0) ** (2.0 / alpha)
     return s
 
@@ -139,7 +148,8 @@ def draw_noise(model: StableModel, n: int, gen: np.random.Generator, steps: int)
         return None, None, g
     u, e = np.empty((2, steps, n))
     for k in range(steps):
-        u[k], e[k] = _kanter_draws(n, gen)
+        u[k] = _kanter_uniforms(n, gen)
+        gen.standard_exponential(out=e[k])
         gen.standard_normal(out=g[k])
     return u, e, g
 
@@ -162,6 +172,13 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     c = 2 (dt/2)^(2/alpha).  alpha = 2 degenerates to the deterministic
     value dt (the stable sampler would hit 0/0 there).
 
+    The stream gives the n U's of Kanter's representation, then the n E's.
+    The U's are drawn into the result; the E's are drawn, and `_subordinator`
+    run in place, _KANTER_CHUNK values at a time, so a draw holds its result
+    and a few chunk-sized arrays.  The generator fills an array in stream
+    order, so the chunks' E's are the one n-sized draw's, and the result is
+    bit-equal to `_subordinator` on whole-size draws.
+
     size=None returns a scalar, otherwise an array of that length.  A scalar
     call consumes the stream exactly like size=1; calls with different sizes
     consume it differently (the variates are drawn in blocks).
@@ -174,7 +191,11 @@ def sample_subordinator_increment(alpha, dt, rng, size=None):
     if alpha == 2.0:
         out = np.full(n, float(dt))
     else:
-        out = _subordinator(alpha, dt, *_kanter_draws(n, as_generator(rng)))
+        gen = as_generator(rng)
+        out = _kanter_uniforms(n, gen)
+        for i in range(0, n, _KANTER_CHUNK):
+            u = out[i:i + _KANTER_CHUNK]
+            _subordinator(alpha, dt, u, gen.standard_exponential(size=u.size))
     return float(out[0]) if size is None else out
 
 

@@ -36,6 +36,7 @@ assignment estimator and the self-test pay scipy's import time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -146,9 +147,11 @@ def w1_estimate(method: str, X, Y, n_projections: int = 64, rng=None) -> W1Estim
 def w1_exact_1d(X, Y) -> W1Estimate:
     """Exact W1 between two equal-size one-dimensional samples: the mean
     absolute gap between sorted order statistics, which realizes the optimal
-    assignment in one dimension."""
+    assignment in one dimension.  The absolute gap is taken in place, so
+    beside sorted inputs the call makes one full-size temporary."""
     X, Y = _inputs("exact_1d", X, Y)
-    value = float(np.abs(_sorted(X.points[:, 0]) - _sorted(Y.points[:, 0])).mean())
+    gap = _sorted(X.points[:, 0]) - _sorted(Y.points[:, 0])
+    value = float(np.abs(gap, out=gap).mean())
     return W1Estimate(value=value, method="exact_1d", n_used=X.n)
 
 
@@ -187,6 +190,12 @@ def w1_sliced(X, Y, n_projections: int = 64, rng=None) -> W1Estimate:
     a true lower bound for W1; the max over directions is the tightest of
     them.  In d=1 the only unit directions are +1 and -1 and both give the
     same value, so a single evaluation suffices.
+
+    In d > 1 the clouds are checked once; each direction is projected by
+    one matrix-vector product per cloud into a reused buffer, sorted in
+    place, and the gap taken in place, the same operations as `w1_exact_1d`
+    on the projections.  A projection whose extreme values are not finite
+    (a finite cloud can overflow) is refused as a cloud is.
     """
     if n_projections < 1:
         raise ValueError("n_projections must be >= 1")
@@ -195,8 +204,16 @@ def w1_sliced(X, Y, n_projections: int = 64, rng=None) -> W1Estimate:
         value = w1_exact_1d(X, Y).value
         return W1Estimate(value=value, method="sliced", n_used=X.n)
     gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
-    best = max(w1_exact_1d(X.points @ theta, Y.points @ theta).value
-               for theta in _unit_directions(X.d, n_projections, gen))
+    px, py = np.empty(X.n), np.empty(Y.n)
+    best = 0.0
+    for theta in _unit_directions(X.d, n_projections, gen):
+        for c, p in ((X, px), (Y, py)):
+            np.matmul(c.points, theta, out=p)
+            p.sort()
+            if not (math.isfinite(p[0]) and math.isfinite(p[-1])):
+                raise ValueError("points must be finite")
+        px -= py
+        best = max(best, float(np.abs(px, out=px).mean()))
     return W1Estimate(value=best, method="sliced", n_used=X.n)
 
 
@@ -220,7 +237,7 @@ def _norms(points: np.ndarray) -> np.ndarray:
     slices (every cloud sampled here); a column-major array may sum in
     another order.  The dimension sweep takes here the norms of an OU
     cloud's sliced head only, and draws the others from the law of the
-    radius (`ou._radii_and_head`)."""
+    radius (`ou._radial_draw`)."""
     n = points.shape[0]
     out = np.empty(n)
     buf = np.empty((min(n, _NORM_ROWS), points.shape[1]))

@@ -197,26 +197,38 @@ def test_removed_mean_norm_estimator_is_argument_error(capsys):
     assert "invalid choice: 'mean-norm'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, sampler, match", [
+@pytest.mark.parametrize("argv, valid, sampler, match", [
     (["dim-sweep", "--alpha", "1.9", "--dim", "2,2,2", "--samples", "1000"],
-     "_radii_and_head", "d_grid repeats a value: (2, 2, 2)"),
+     ["dim-sweep", "--alpha", "1.9", "--dim", "2,3,4", "--samples", "1000"],
+     "_radial_draw", "d_grid repeats a value: (2, 2, 2)"),
     (["alpha-sweep", "--alpha", "1.9,1.9,1.9"],
+     ["alpha-sweep", "--alpha", "1.9,1.95,1.98"],
      "ou_stationary_sample", "alpha_grid repeats a value: (1.9, 1.9, 1.9)"),
     (["transient", "--alpha", "1.9", "--t-max", "1e6", "--drift", "custom",
       "--drift-param", "0"],
+     ["transient", "--alpha", "1.9", "--t-max", "1", "--drift", "custom",
+      "--drift-param", "0", "--samples", "64"],
      "integrate_ensemble", "transient Euler work capped at 1e+09 member-steps"),
     (["gradient-check", "--alpha", "1.5,2.0", "--samples", "256"],
+     ["gradient-check", "--alpha", "1.5,1.8", "--samples", "256"],
      "integrate_coupled_ensemble", "gradient_check adds the alpha = 2 reference itself"),
 ], ids=["dim_grid_repeats", "alpha_grid_repeats", "transient_euler_work",
         "gradient_check_alpha_two"])
-def test_degenerate_or_unbounded_runs_are_refused_before_work(argv, sampler, match,
+def test_degenerate_or_unbounded_runs_are_refused_before_work(argv, valid, sampler, match,
                                                                monkeypatch, capsys):
+    # the spied call is the run's first draw; a valid config of the same
+    # run reaches it (the positive control), so a refusal before it is real
+    class Reached(Exception):
+        pass
+
     def spy(*args, **kwargs):
-        raise AssertionError("worked before the config check")
+        raise Reached(sampler)
 
     monkeypatch.setattr(experiments, sampler, spy)
     assert main(argv + ["--seed", "1"]) == 2
     assert match in capsys.readouterr().err
+    with pytest.raises(Reached):
+        main(valid + ["--seed", "1"])
 
 
 def test_drift_flag_reaches_config(capsys):

@@ -39,7 +39,7 @@ from stablegap import (
 )
 import stablegap.experiments as experiments
 from stablegap.experiments import format_value
-from stablegap.ou import _radii_and_head
+from stablegap.ou import _radial_draw
 from stablegap.wasserstein import _norms
 from conftest import CountingNormals, NanInGammaDraw, NanInSecondGaussianDraw
 
@@ -234,7 +234,7 @@ def test_dim_sweep_rows_equal_the_full_cloud_estimators(drift, n, threads, monke
             continue
         for noise, cloud in (("stable", X), ("gauss", Y)):
             index, stream = experiments._stationary_source(noise, d, 1.8, n, cfg.resolved())
-            norms, _ = _radii_and_head(OuLaw(d, index), n, head, stream)
+            _, norms = _radial_draw(OuLaw(d, index), n, head, stream)
             assert np.array_equal(norms[:head], _norms(cloud.points[:head]))
         assert abs(res.mean_norm[i] - res.lower_exact[i]) <= 4.0 * res.mean_norm_se[i]
         assert res.mean_norm[i] <= res.radial[i]
@@ -295,6 +295,24 @@ def test_dim_sweep_streams_each_cloud_in_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < n * d_max * 8 / 2
+
+
+def test_dim_sweep_rows_hold_no_head_beside_two_norm_vectors(monkeypatch):
+    # a row keeps its stable norms in the subordinator's buffer and draws
+    # the Gaussian norms past the head only once both heads are dropped, so
+    # its traced peak is the two d = 20 heads (21 MB) beside one norm
+    # vector (8 MB); a row that draws both clouds' norms before it drops
+    # the heads peaks at 45.7 MB here
+    monkeypatch.setenv("STABLEGAP_THREADS", "1")
+    cfg = ExperimentConfig(experiment="dim_sweep", seed=14, alpha_grid=(1.9,),
+                           d_grid=(2, 3, 20), n_samples=1_000_000)
+    tracemalloc.start()
+    try:
+        run_dim_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36e6
 
 
 def test_dim_sweep_refuses_a_non_finite_draw_in_one_block(monkeypatch):

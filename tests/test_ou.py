@@ -20,7 +20,7 @@ from stablegap import (
     ou_w1_lower_exact,
     stable_mean_norm,
 )
-from stablegap.ou import _BLOCK_BYTES, _gap_pieces, _radii_and_head
+from stablegap.ou import _BLOCK_BYTES, _gap_pieces, _radial_draw
 from stablegap.sampling import sample_subordinator_increment
 from stablegap.wasserstein import _norms
 from conftest import NanInSecondGaussianDraw, z_score
@@ -162,12 +162,13 @@ def test_sample_blocks_are_bit_equal_to_the_one_cloud_draw(alpha, d, n_of_rows):
     # the radial draw's head is drawn in row blocks, in the stream order of
     # the one-cloud draw (Kanter's U's, E's, then the Gaussians), straight
     # into the head, so the head is the cloud's first rows bit for bit, and
-    # so are its norms; the norms past the head come after, from gammas
+    # so are its norms; the norms past the head come after, from gammas.
+    # The generator yields the head, then the norms, and stops
     rows = _BLOCK_BYTES // (8 * d)
     n_head = n_of_rows(rows)
     n = n_head + 5
     law = OuLaw(d, alpha)
-    norms, head = _radii_and_head(law, n, n_head, RngStream(56, d))
+    head, norms = _radial_draw(law, n, n_head, RngStream(56, d))
     cloud = ou_stationary_sample(law, n, RngStream(56, d)).points
     assert head.shape == (n_head, d) and norms.shape == (n,)
     assert np.array_equal(head, cloud[:n_head])
@@ -180,17 +181,18 @@ def test_sample_blocks_at_a_finite_time_are_bit_equal_to_the_cloud():
     # one started elsewhere is not isotropic and is refused
     law = OuLaw(3, 1.6, t=0.4)
     n = _BLOCK_BYTES // 24 + 7
-    norms, head = _radii_and_head(law, n + 3, n, RngStream(57))
+    head, norms = _radial_draw(law, n + 3, n, RngStream(57))
     assert np.array_equal(head, ou_stationary_sample(law, n + 3, RngStream(57)).points[:n])
     assert np.array_equal(norms[:n], _norms(head))
+    # the arguments are checked at the generator's first step
     with pytest.raises(DomainError, match="centred at the origin"):
-        _radii_and_head(OuLaw(3, 1.6, t=0.4, x0=[1.0, -2.0, 0.5]), n, n, RngStream(57))
+        next(_radial_draw(OuLaw(3, 1.6, t=0.4, x0=[1.0, -2.0, 0.5]), n, n, RngStream(57)))
     # at t = inf the start point is forgotten, so the law is centred
-    _radii_and_head(OuLaw(3, 1.6, x0=[1.0, -2.0, 0.5]), 10, 10, RngStream(57))
+    next(_radial_draw(OuLaw(3, 1.6, x0=[1.0, -2.0, 0.5]), 10, 10, RngStream(57)))
     with pytest.raises(ValueError, match="n_head <= n"):
-        _radii_and_head(law, 0, 0, RngStream(57))
+        next(_radial_draw(law, 0, 0, RngStream(57)))
     with pytest.raises(ValueError, match="n_head <= n"):
-        _radii_and_head(law, 10, 11, RngStream(57))
+        next(_radial_draw(law, 10, 11, RngStream(57)))
 
 
 def test_sample_blocks_refuse_a_non_finite_draw_in_one_block():
@@ -199,7 +201,7 @@ def test_sample_blocks_refuse_a_non_finite_draw_in_one_block():
     rows = _BLOCK_BYTES // (8 * d)
     gen = NanInSecondGaussianDraw(np.random.Philox(58))
     with pytest.raises(ValueError, match="finite"):
-        _radii_and_head(OuLaw(d, 1.8), 3 * rows, 3 * rows, gen)
+        next(_radial_draw(OuLaw(d, 1.8), 3 * rows, 3 * rows, gen))
 
 
 @pytest.mark.parametrize("alpha", [1.8, 2.0])
@@ -213,7 +215,7 @@ def test_radial_draw_tail_is_chi_squared(d, alpha):
 
     n, n_head = 20_000, 1_000
     law = OuLaw(d, alpha)
-    norms, _ = _radii_and_head(law, n, n_head, RngStream(60, d))
+    _, norms = _radial_draw(law, n, n_head, RngStream(60, d))
     s = sample_subordinator_increment(alpha, 1.0, RngStream(60, d), size=n)
     q = (norms[n_head:] / (law.scale * np.sqrt(s[n_head:]))) ** 2
     assert kstest(q, chi2(d).cdf).pvalue > 1e-3

@@ -7,6 +7,7 @@ z-test at fixed seeds, with wide-enough gates that a correct sampler passes
 with large margin and the corrupted-scale control fails loudly.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from stablegap import (
     sample_stable_increment,
     sample_subordinator_increment,
 )
+from stablegap.sampling import _KANTER_CHUNK
 from conftest import ZeroUniform, z_score
 
 N = 400_000
@@ -56,6 +58,55 @@ def test_kanter_zero_uniform_is_invariant_error():
     gen = ZeroUniform(np.random.Philox(1))
     with pytest.raises(InvariantError, match="U = 0"):
         sample_subordinator_increment(1.5, 0.1, gen, size=8)
+
+
+def _kanter_textbook(alpha, dt, u, e):
+    beta, b1 = alpha / 2.0, 1.0 - alpha / 2.0
+    log_a = (beta * np.log(np.sin(beta * u)) + b1 * np.log(np.sin(b1 * u))
+             - np.log(np.sin(u))) / b1
+    return np.exp((log_a - np.log(e)) * (b1 / beta)) * (2.0 * (dt / 2.0) ** (2.0 / alpha))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.998])
+@pytest.mark.parametrize("n_of_chunk", [lambda c: c - 1, lambda c: c, lambda c: c + 1,
+                                        lambda c: 3 * c + 1],
+                         ids=["chunk_minus_1", "chunk", "chunk_plus_1", "3_chunks_plus_1"])
+def test_chunked_subordinator_is_bit_equal_to_whole_draws(alpha, n_of_chunk):
+    # the E's are drawn chunk by chunk after all n U's; the generator fills
+    # an array in stream order, so they are the one n-sized draw's, and the
+    # in-place evaluation keeps the textbook expression's operations
+    n = n_of_chunk(_KANTER_CHUNK)
+    gen = RngStream(102, n).generator()
+    u, e = gen.uniform(0.0, np.pi, size=n), gen.standard_exponential(size=n)
+    s = sample_subordinator_increment(alpha, 0.3, RngStream(102, n), size=n)
+    assert np.array_equal(s, _kanter_textbook(alpha, 0.3, u, e))
+
+
+class ZeroLastUniform(np.random.Generator):
+    """A generator whose uniform draws end on the left end point."""
+
+    def uniform(self, *args, **kwargs):
+        out = super().uniform(*args, **kwargs)
+        out[-1] = 0.0
+        return out
+
+
+def test_chunked_subordinator_refuses_u_zero_in_the_last_chunk():
+    with pytest.raises(InvariantError, match="U = 0"):
+        sample_subordinator_increment(1.5, 0.1, ZeroLastUniform(np.random.Philox(2)),
+                                      size=3 * _KANTER_CHUNK + 1)
+
+
+def test_subordinator_draw_holds_its_result_and_a_few_chunks():
+    # the whole-size evaluation held four n-arrays (U, E and two
+    # temporaries): 32 MB at n = 1e6
+    tracemalloc.start()
+    try:
+        sample_subordinator_increment(1.9, 1.0, RngStream(103), size=1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_subordinator_positive_and_heavy_tailed():

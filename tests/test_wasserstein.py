@@ -218,6 +218,25 @@ def test_sliced_d1_single_projection_equals_exact():
     assert est.value == pytest.approx(w1_exact_1d(a, b).value, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 20])
+def test_sliced_is_bit_equal_to_exact_1d_on_each_projection(d):
+    # the lean loop does w1_exact_1d's operations on each projection
+    gen = RngStream(33, d).generator()
+    X, Y = gen.standard_normal((700, d)), 1.2 * gen.standard_normal((700, d)) + 0.1
+    v = RngStream(34).generator().standard_normal((16, d))
+    dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
+    ref = max(w1_exact_1d(X @ t, Y @ t).value for t in dirs)
+    assert w1_sliced(X, Y, n_projections=16, rng=RngStream(34)).value == ref
+
+
+def test_sliced_refuses_a_projection_that_overflows():
+    # finite points whose projection is not finite are refused as a
+    # non-finite cloud is
+    X = np.full((5, 2), 1.5e308)
+    with pytest.raises(ValueError, match="points must be finite"):
+        w1_sliced(X, np.zeros((5, 2)), n_projections=64, rng=RngStream(35))
+
+
 def test_sliced_deterministic_given_stream():
     gen = RngStream(31).generator()
     X, Y = gen.standard_normal((200, 4)), gen.standard_normal((200, 4)) + 0.3
